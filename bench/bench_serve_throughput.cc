@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -309,14 +310,40 @@ int Run(int argc, char** argv) {
     sharded.emplace_back(shard_count, best);
   }
 
+  // Files this bench writes (the router's snapshot directory, the cold
+  // start's UCR file, the restore's snapshot) live in a private temp
+  // directory, removed at exit, never in the working directory.
+  class TempDirGuard {
+   public:
+    explicit TempDirGuard(std::string path) : path_(std::move(path)) {}
+    ~TempDirGuard() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path_, ignored);
+    }
+    TempDirGuard(const TempDirGuard&) = delete;
+    TempDirGuard& operator=(const TempDirGuard&) = delete;
+
+   private:
+    std::string path_;
+  };
+  std::string temp_dir =
+      (std::filesystem::temp_directory_path() / "warp_bench_serve_XXXXXX")
+          .string();
+  if (mkdtemp(temp_dir.data()) == nullptr) {
+    std::fprintf(stderr, "FATAL: cannot create a temp directory\n");
+    return 1;
+  }
+  const TempDirGuard remove_at_exit(temp_dir);
+
   // --- routerN: the batched clients again, but over TCP against the
   // multi-process cluster (router + N warp_serve shard workers spawned
   // from a snapshot). Pays wire parsing and scatter/gather on top of
   // shardedN's scan plans; the digest check below cross-checks that the
-  // cluster's answer still has not moved by a bit.
+  // cluster's answer still has not moved by a bit. The workers split
+  // --threads between them.
   std::vector<std::pair<size_t, CaseResult>> routed;
   {
-    const std::string snap_dir = "bench_serve_router_snaps";
+    const std::string snap_dir = temp_dir + "/router_snaps";
     std::error_code fs_error;
     std::filesystem::create_directories(snap_dir, fs_error);
     std::string error;
@@ -332,7 +359,8 @@ int Run(int argc, char** argv) {
     for (const size_t shard_count : {size_t{2}, size_t{4}}) {
       cluster::SupervisorOptions sup;
       sup.shards = shard_count;
-      sup.threads = threads;
+      // The workers share the cores: --threads in total, not per worker.
+      sup.threads = std::max<size_t>(1, threads / shard_count);
       sup.worker_binary = WARP_SERVE_PATH;
       sup.snapshot_dir = snap_dir;
       cluster::Supervisor supervisor(sup);
@@ -432,7 +460,6 @@ int Run(int argc, char** argv) {
       router_thread.join();
       supervisor.Stop();
     }
-    std::filesystem::remove_all(snap_dir, fs_error);
   }
 
   // --- cold start vs snapshot restore: time-to-first-query. Cold start
@@ -442,8 +469,8 @@ int Run(int argc, char** argv) {
   double cold_start_seconds = 0.0;
   double restore_seconds = 0.0;
   {
-    const std::string ucr_path = "bench_serve_cold.tsv";
-    const std::string snap_path = "bench_serve_restore.wsnap";
+    const std::string ucr_path = temp_dir + "/cold.tsv";
+    const std::string snap_path = temp_dir + "/restore.wsnap";
     std::string error;
     if (!SaveUcrFile(ucr_path, data, &error) ||
         !serve::SaveSnapshot(*store.Get("bench"), snap_path, &error)) {
@@ -486,8 +513,6 @@ int Run(int argc, char** argv) {
     restored.RegisterIndex("bench", std::move(index));
     serve::QueryEngine restored_engine(&restored, nullptr, 1);
     checks.push_back(digest(restored_engine.Run(requests[0])));
-    std::remove(ucr_path.c_str());
-    std::remove(snap_path.c_str());
   }
 
   for (size_t i = 1; i < checks.size(); ++i) {

@@ -1,13 +1,9 @@
 #include "warp/cluster/router.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,14 +11,14 @@
 #include "warp/cluster/worker.h"
 #include "warp/common/metrics.h"
 #include "warp/common/stopwatch.h"
-#include "warp/obs/exposition.h"
 #include "warp/obs/histogram.h"
 #include "warp/obs/json_writer.h"
-#include "warp/obs/report.h"
 #include "warp/serve/dataset_store.h"
-#include "warp/serve/net.h"
+#include "warp/serve/front_end.h"
 #include "warp/serve/protocol.h"
 #include "warp/serve/request.h"
+#include "warp/serve/slowlog.h"
+#include "warp/serve/telemetry.h"
 #include "warp/serve/wire.h"
 
 namespace warp {
@@ -31,131 +27,30 @@ namespace cluster {
 namespace {
 
 using serve::ControlOp;
+using serve::DatasetInfo;
 using serve::Neighbor;
 using serve::ParsedLine;
 using serve::QueryOp;
 using serve::ServeRequest;
 using serve::ServeResponse;
 
-constexpr int kAcceptPollMs = 100;
-
-// The scan total order, replicated from the engine: ties on distance go
-// to the earlier global index. Merging per-shard top-k lists under this
-// strict order selects the same k smallest the single process's
-// shard-major chunk merge does (a set property — see query_engine.cc).
-bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
-}
-
-void AddTopK(std::vector<Neighbor>* hits, const Neighbor& n, size_t k) {
-  const auto pos =
-      std::lower_bound(hits->begin(), hits->end(), n, NeighborLess);
-  if (hits->size() == k && pos == hits->end()) return;
-  hits->insert(pos, n);
-  if (hits->size() > k) hits->pop_back();
-}
-
-bool IsScanOp(QueryOp op) {
-  return op == QueryOp::k1Nn || op == QueryOp::kKnn || op == QueryOp::kRange;
-}
-
-bool StartsWith(const std::string& text, const char* prefix) {
-  return text.compare(0, std::char_traits<char>::length(prefix), prefix) == 0;
-}
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// json_name -> enum index maps for merging worker registries by name.
-const std::map<std::string, size_t>& CounterIndex() {
-  static const std::map<std::string, size_t> index = [] {
-    std::map<std::string, size_t> m;
-    for (size_t i = 0; i < obs::kNumCounters; ++i) {
-      m[obs::CounterName(static_cast<obs::Counter>(i))] = i;
-    }
-    return m;
-  }();
-  return index;
-}
-
-const std::map<std::string, size_t>& HistogramIndex() {
-  static const std::map<std::string, size_t> index = [] {
-    std::map<std::string, size_t> m;
-    for (size_t i = 0; i < obs::kNumHistograms; ++i) {
-      m[obs::HistogramName(static_cast<obs::Histogram>(i))] = i;
-    }
-    return m;
-  }();
-  return index;
-}
-
-const std::map<std::string, size_t>& GaugeIndex() {
-  static const std::map<std::string, size_t> index = [] {
-    std::map<std::string, size_t> m;
-    for (size_t i = 0; i < obs::kNumGauges; ++i) {
-      m[obs::GaugeName(static_cast<obs::Gauge>(i))] = i;
-    }
-    return m;
-  }();
-  return index;
-}
-
-// Rebuilds one histogram's merged data from the stats-op JSON shape
-// ({count, sum, buckets: [{le, n}...]}): the sparse le bounds invert to
-// bucket indexes because HistogramBucketBound is injective. Doubles are
-// compared against the bound's double image — both sides went through
-// the same uint64 -> double rounding, so equality is exact.
-void AddHistogramJson(const serve::JsonValue& value, obs::HistogramData* out) {
-  out->count += static_cast<uint64_t>(value.NumberOr("count", 0.0));
-  out->sum += static_cast<uint64_t>(value.NumberOr("sum", 0.0));
-  const serve::JsonValue* buckets = value.Find("buckets");
-  if (buckets == nullptr || !buckets->is_array()) return;
-  for (const serve::JsonValue& entry : buckets->AsArray()) {
-    const double le = entry.NumberOr("le", -1.0);
-    const uint64_t n = static_cast<uint64_t>(entry.NumberOr("n", 0.0));
-    for (size_t i = 0; i < obs::kHistogramBuckets; ++i) {
-      if (static_cast<double>(obs::HistogramBucketBound(i)) == le) {
-        out->buckets[i] += n;
-        break;
-      }
-    }
-  }
-}
-
-// One slow-query record as it crosses the wire; mirrors the fields the
-// server's slowlog op emits.
-struct SlowEntry {
-  int64_t id = 0;
-  std::string op;
-  std::string dataset;
-  std::string measure;
-  double engine_us = 0.0;
-  double total_us = 0.0;
-  uint64_t cells = 0;
-  uint64_t scanned = 0;
-  uint64_t total = 0;
-  bool partial = false;
-};
+// What the router asks each worker for when it answers stats, metrics or
+// telemetry: the lossless snapshot, merged here and rendered by the same
+// renderers a plain server uses.
+constexpr char kTelemetryRequest[] = R"({"id":0,"op":"telemetry"})";
 
 }  // namespace
 
 struct Router::Impl {
-  struct Connection {
-    serve::TcpConn conn;
-    std::thread thread;
-  };
-
   struct Link {
     WorkerClient client;
     uint64_t generation = 0;
   };
 
-  struct DatasetInfo {
-    uint64_t epoch = 0;
-    uint64_t size = 0;
+  // One worker's answer to a Broadcast.
+  struct WorkerReply {
+    bool sent = false;  // The request reached the worker.
+    std::string line;   // Its reply; empty when none came back.
   };
 
   // Bookkeeping for one query inside a scatter pass.
@@ -168,27 +63,21 @@ struct Router::Impl {
     bool have_info = false;
   };
 
-  RouterOptions options;
-  Supervisor* supervisor;
-  serve::TcpListener listener;
-  std::atomic<bool> shutdown{false};
-
-  std::mutex conn_mutex;
-  std::vector<std::unique_ptr<Connection>> connections;
-
-  // Worker links and the dataset {epoch, size} cache, both guarded by
-  // scatter_mutex: the router serializes all worker wire traffic, so a
-  // client batch scatters and gathers as one unit.
-  std::mutex scatter_mutex;
-  std::vector<Link> links;
-  std::map<std::string, DatasetInfo> dataset_info;
-
   Impl(const RouterOptions& opts, Supervisor* sup)
-      : options(opts), supervisor(sup) {
-    links.resize(supervisor->shards());
-  }
+      : options(opts),
+        supervisor(sup),
+        links(sup->shards()),
+        front_end(serve::FrontEndHandlers{
+            [this](std::vector<ServeRequest> queries,
+                   const std::vector<double>& /*parse_us*/,
+                   std::vector<std::string>* replies) {
+              ExecuteQueries(queries, replies);
+            },
+            [this](const ParsedLine& parsed, const std::string& raw) {
+              return HandleControl(parsed, raw);
+            }}) {}
 
-  // ---- worker link management (scatter_mutex held) ----
+  // ---- worker links (scatter_mutex held) ----
 
   bool LinkUp(size_t shard) {
     const WorkerStatus status = supervisor->Status(shard);
@@ -209,12 +98,32 @@ struct Router::Impl {
     return true;
   }
 
-  // First live worker that completes `payload` (one line) -> one reply.
-  bool FirstWorkerRoundTrip(const std::string& payload, std::string* reply) {
+  // Sends `line` to every live worker, then reads one reply from each, in
+  // shard order. Sending everything first lets the workers work in
+  // parallel; reading every sent link keeps none of them out of step.
+  std::vector<WorkerReply> Broadcast(const std::string& line) {
+    const std::string payload = line + "\n";
+    std::vector<WorkerReply> replies(links.size());
+    for (size_t shard = 0; shard < links.size(); ++shard) {
+      replies[shard].sent = LinkUp(shard) && links[shard].client.Send(payload);
+    }
+    for (size_t shard = 0; shard < links.size(); ++shard) {
+      std::vector<std::string> lines;
+      if (replies[shard].sent &&
+          links[shard].client.ReadLines(1, options.gather_timeout_ms,
+                                        &lines)) {
+        replies[shard].line = std::move(lines[0]);
+      }
+    }
+    return replies;
+  }
+
+  // First live worker that completes `line` -> one reply.
+  bool FirstWorkerRoundTrip(const std::string& line, std::string* reply) {
     for (size_t shard = 0; shard < links.size(); ++shard) {
       if (!LinkUp(shard)) continue;
       std::vector<std::string> replies;
-      if (!links[shard].client.Send(payload) ||
+      if (!links[shard].client.Send(line + "\n") ||
           !links[shard].client.ReadLines(1, options.gather_timeout_ms,
                                          &replies)) {
         continue;
@@ -227,27 +136,12 @@ struct Router::Impl {
 
   // ---- dataset info cache (scatter_mutex held) ----
 
-  bool FetchInfo(const std::string& dataset, DatasetInfo* info) {
-    obs::JsonWriter writer;
-    writer.BeginObject()
-        .Key("id").Int(0)
-        .Key("op").String("info")
-        .Key("dataset").String(dataset)
-        .EndObject();
-    std::string reply;
-    if (!FirstWorkerRoundTrip(writer.TakeOutput() + "\n", &reply)) {
+  // Caches the dataset fields of a worker's ok `info` or `load` reply.
+  bool RememberInfo(const serve::JsonValue& reply, DatasetInfo* info) {
+    if (!reply.BoolOr("ok", false) || !serve::ReadDatasetInfo(reply, info)) {
       return false;
     }
-    serve::JsonValue root;
-    std::string error;
-    if (!serve::ParseJson(reply, &root, &error) ||
-        !root.BoolOr("ok", false)) {
-      dataset_info.erase(dataset);
-      return false;
-    }
-    info->epoch = static_cast<uint64_t>(root.NumberOr("epoch", 0.0));
-    info->size = static_cast<uint64_t>(root.NumberOr("size", 0.0));
-    dataset_info[dataset] = *info;
+    dataset_info[info->dataset] = *info;
     return true;
   }
 
@@ -257,7 +151,17 @@ struct Router::Impl {
       *info = it->second;
       return true;
     }
-    return FetchInfo(dataset, info);
+    obs::JsonWriter writer;
+    writer.BeginObject()
+        .Key("id").Int(0)
+        .Key("op").String("info")
+        .Key("dataset").String(dataset)
+        .EndObject();
+    std::string reply;
+    serve::JsonValue root;
+    std::string error;
+    return FirstWorkerRoundTrip(writer.TakeOutput(), &reply) &&
+           serve::ParseJson(reply, &root, &error) && RememberInfo(root, info);
   }
 
   // ---- scatter / gather ----
@@ -282,6 +186,13 @@ struct Router::Impl {
     std::vector<WorkerBatch> batches(shards);
     std::vector<bool> up(shards);
     for (size_t shard = 0; shard < shards; ++shard) up[shard] = LinkUp(shard);
+    // A worker that fails mid-stream takes its whole batch down.
+    const auto lose = [&](size_t shard) {
+      up[shard] = false;
+      for (const auto& slot : batches[shard].slots) {
+        states[slot.first].missing.push_back(shard);
+      }
+    };
 
     // Build: stamp each sub-scan with (shard, epoch) and append it to its
     // worker's payload. Queries keep batch order within each payload.
@@ -289,7 +200,7 @@ struct Router::Impl {
       const ServeRequest& request = requests[idx[q]];
       QueryState& state = states[q];
       state.have_info = EnsureInfo(request.dataset, &state.info);
-      if (IsScanOp(request.op)) {
+      if (serve::IsScanOp(request.op)) {
         for (size_t shard = 0; shard < shards; ++shard) {
           state.targets.push_back(shard);
         }
@@ -323,26 +234,18 @@ struct Router::Impl {
     // Write all payloads first so the workers compute in parallel.
     for (size_t shard = 0; shard < shards; ++shard) {
       if (!up[shard] || batches[shard].slots.empty()) continue;
-      if (!links[shard].client.Send(batches[shard].payload)) {
-        up[shard] = false;
-        for (const auto& slot : batches[shard].slots) {
-          states[slot.first].missing.push_back(shard);
-        }
-      }
+      if (!links[shard].client.Send(batches[shard].payload)) lose(shard);
     }
 
-    // Gather in pinned shard order. A worker that dies mid-stream takes
-    // its whole batch down: the survivors' answers still merge, flagged.
+    // Gather in pinned shard order; the survivors' answers still merge,
+    // flagged. A reply that fails to parse costs its query that shard.
     for (size_t shard = 0; shard < shards; ++shard) {
       WorkerBatch& batch = batches[shard];
       if (!up[shard] || batch.slots.empty()) continue;
       std::vector<std::string> lines;
       if (!links[shard].client.ReadLines(batch.slots.size(),
                                          options.gather_timeout_ms, &lines)) {
-        up[shard] = false;
-        for (const auto& slot : batch.slots) {
-          states[slot.first].missing.push_back(shard);
-        }
+        lose(shard);
         continue;
       }
       for (size_t j = 0; j < lines.size(); ++j) {
@@ -371,7 +274,7 @@ struct Router::Impl {
   static bool HasEpochMismatch(const QueryState& state) {
     for (size_t t = 0; t < state.targets.size(); ++t) {
       if (state.have[t] && !state.subs[t].ok &&
-          StartsWith(state.subs[t].error, "epoch mismatch")) {
+          state.subs[t].error.rfind("epoch mismatch", 0) == 0) {
         return true;
       }
     }
@@ -399,7 +302,7 @@ struct Router::Impl {
       }
     }
 
-    if (!IsScanOp(request.op)) {
+    if (!serve::IsScanOp(request.op)) {
       // Single-target ops: relay the owner's reply field-for-field. With
       // the owner down there is no partial answer to degrade to, so this
       // fails fast instead of guessing.
@@ -417,12 +320,14 @@ struct Router::Impl {
 
     out.ok = true;
     bool any_partial = false;
+    std::vector<std::vector<Neighbor>> parts;
     for (size_t t = 0; t < state->targets.size(); ++t) {
       if (!state->have[t]) continue;
-      const ServeResponse& sub = state->subs[t];
+      ServeResponse& sub = state->subs[t];
       out.scanned += sub.scanned;
       out.total += sub.total;
       any_partial |= sub.partial;
+      parts.push_back(std::move(sub.neighbors));
     }
     if (!state->missing.empty() && state->have_info) {
       // Keep "of total candidates" meaning the whole dataset even while
@@ -432,27 +337,7 @@ struct Router::Impl {
     out.partial =
         any_partial || !state->missing.empty() || out.scanned < out.total;
     out.shards_missing = state->missing;
-
-    if (request.op == QueryOp::kRange) {
-      for (size_t t = 0; t < state->targets.size(); ++t) {
-        if (!state->have[t]) continue;
-        out.neighbors.insert(out.neighbors.end(),
-                             state->subs[t].neighbors.begin(),
-                             state->subs[t].neighbors.end());
-      }
-      std::sort(out.neighbors.begin(), out.neighbors.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  return a.index < b.index;
-                });
-    } else {
-      const size_t k = request.op == QueryOp::kKnn ? request.k : 1;
-      for (size_t t = 0; t < state->targets.size(); ++t) {
-        if (!state->have[t]) continue;
-        for (const Neighbor& n : state->subs[t].neighbors) {
-          AddTopK(&out.neighbors, n, k);
-        }
-      }
-    }
+    out.neighbors = serve::MergeNeighbors(request.op, request.k, parts);
     if (!state->missing.empty()) {
       WARP_COUNT(obs::Counter::kClusterPartialReplies);
     }
@@ -486,46 +371,82 @@ struct Router::Impl {
 
   // ---- control ops ----
 
+  // The router's own registries merged with every live worker's
+  // snapshot; a worker that does not answer, or answers garbage, is left
+  // out. The per-instance sections (cache, slowlog) then sum the workers'
+  // and read zero with every worker down — the schema never changes.
+  serve::Telemetry GatherTelemetry() {
+    serve::Telemetry merged = serve::SnapshotRegistries();
+    merged.shards = supervisor->shards();
+    for (const WorkerReply& reply : Broadcast(kTelemetryRequest)) {
+      serve::Telemetry worker;
+      std::string error;
+      if (serve::ParseTelemetryReply(reply.line, &worker, &error)) {
+        merged.Merge(worker);
+      }
+    }
+    return merged;
+  }
+
   std::string HandleControl(const ParsedLine& parsed, const std::string& raw);
   std::string HandleInfo(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleStats(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleMetrics(const ParsedLine& parsed, const std::string& raw);
   std::string HandleSlowlog(const ParsedLine& parsed, const std::string& raw);
   std::string HandleLoadLike(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleSaveSnapshot(const ParsedLine& parsed,
-                                 const std::string& raw);
-  std::string HandleShutdown(const ParsedLine& parsed, const std::string& raw);
 
-  void HandleConnection(Connection* connection);
+  RouterOptions options;
+  Supervisor* supervisor;
+
+  // Worker links and the dataset {epoch, size} cache, both guarded by
+  // scatter_mutex: the router serializes all worker wire traffic, so a
+  // client batch scatters and gathers as one unit.
+  std::mutex scatter_mutex;
+  std::vector<Link> links;
+  std::map<std::string, DatasetInfo> dataset_info;
+
+  // Last: destroyed first, joining the connection threads that use every
+  // member above.
+  serve::FrontEnd front_end;
 };
 
 std::string Router::Impl::HandleControl(const ParsedLine& parsed,
                                         const std::string& raw) {
+  if (parsed.control == ControlOp::kPing) {
+    return serve::FormatAckLine(parsed.id, "ping");
+  }
+  if (parsed.control == ControlOp::kShutdown) {
+    // Stop resurrecting first: the workers' clean exits below are not
+    // failures.
+    supervisor->DisableRestarts();
+  }
+  std::lock_guard<std::mutex> lock(scatter_mutex);
   switch (parsed.control) {
-    case ControlOp::kPing: {
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("ping")
-          .EndObject();
-      return writer.TakeOutput();
-    }
     case ControlOp::kInfo:
       return HandleInfo(parsed, raw);
     case ControlOp::kStats:
-      return HandleStats(parsed, raw);
+      return serve::FormatStatsReply(parsed.id, GatherTelemetry());
     case ControlOp::kMetrics:
-      return HandleMetrics(parsed, raw);
+      return serve::FormatMetricsReply(parsed.id, GatherTelemetry());
+    case ControlOp::kTelemetry:
+      return serve::FormatTelemetryReply(parsed.id, GatherTelemetry());
     case ControlOp::kSlowlog:
       return HandleSlowlog(parsed, raw);
     case ControlOp::kLoad:
     case ControlOp::kLoadSnapshot:
       return HandleLoadLike(parsed, raw);
-    case ControlOp::kSaveSnapshot:
-      return HandleSaveSnapshot(parsed, raw);
+    case ControlOp::kSaveSnapshot: {
+      std::string reply;
+      if (!FirstWorkerRoundTrip(raw, &reply)) {
+        return serve::FormatErrorLine(parsed.id, "no shard workers available");
+      }
+      return reply;
+    }
     case ControlOp::kShutdown:
-      return HandleShutdown(parsed, raw);
+      // The workers' acks are read (best effort) so the send is not lost
+      // to a closing socket.
+      Broadcast(raw);
+      for (Link& link : links) link.client.Disconnect();
+      return serve::FormatAckLine(parsed.id, "shutdown");
+    case ControlOp::kPing:
     case ControlOp::kNone:
       break;
   }
@@ -534,9 +455,8 @@ std::string Router::Impl::HandleControl(const ParsedLine& parsed,
 
 std::string Router::Impl::HandleInfo(const ParsedLine& parsed,
                                      const std::string& raw) {
-  std::lock_guard<std::mutex> lock(scatter_mutex);
   std::string reply;
-  if (!FirstWorkerRoundTrip(raw + "\n", &reply)) {
+  if (!FirstWorkerRoundTrip(raw, &reply)) {
     return serve::FormatErrorLine(parsed.id, "no shard workers available");
   }
   serve::JsonValue root;
@@ -546,580 +466,113 @@ std::string Router::Impl::HandleInfo(const ParsedLine& parsed,
                                   "malformed worker info reply: " + error);
   }
   if (!root.BoolOr("ok", false)) return reply;  // e.g. unknown dataset.
-
   DatasetInfo info;
-  info.epoch = static_cast<uint64_t>(root.NumberOr("epoch", 0.0));
-  info.size = static_cast<uint64_t>(root.NumberOr("size", 0.0));
-  dataset_info[root.StringOr("dataset", parsed.dataset)] = info;
-
-  // Re-emit with the router's own port and without the worker_shard
+  if (!RememberInfo(root, &info)) {
+    return serve::FormatErrorLine(
+        parsed.id, "malformed worker info reply: missing or invalid fields");
+  }
+  // Re-emitted with the router's own port and without the worker_shard
   // marker: clients see the cluster as one server.
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(parsed.id)
-      .Key("ok").Bool(true)
-      .Key("op").String("info")
-      .Key("dataset").String(root.StringOr("dataset", parsed.dataset))
-      .Key("size").Uint(info.size)
-      .Key("length").Uint(static_cast<uint64_t>(root.NumberOr("length", 0.0)))
-      .Key("epoch").Uint(info.epoch)
-      .Key("shards").Uint(static_cast<uint64_t>(root.NumberOr("shards", 0.0)))
-      .Key("port").Int(listener.port());
-  writer.Key("bands").BeginArray();
-  if (const serve::JsonValue* bands = root.Find("bands")) {
-    if (bands->is_array()) {
-      for (const serve::JsonValue& band : bands->AsArray()) {
-        writer.Uint(static_cast<uint64_t>(band.AsNumber()));
-      }
-    }
-  }
-  writer.EndArray().EndObject();
-  return writer.TakeOutput();
-}
-
-std::string Router::Impl::HandleStats(const ParsedLine& parsed,
-                                      const std::string& raw) {
-  std::lock_guard<std::mutex> lock(scatter_mutex);
-  // Seed with the router's own registries (cluster_* counters and the
-  // gather histogram live here), then add every live worker's reading.
-  // All merges are order-independent sums — counters, gauges, cache
-  // tallies, and bucket-wise histogram adds.
-  obs::MetricsSnapshot counters = obs::SnapshotCounters();
-  obs::HistogramSnapshot histograms = obs::SnapshotHistograms();
-  obs::GaugeSnapshot gauges = obs::SnapshotGauges();
-  uint64_t cache_size = 0, cache_capacity = 0, cache_hits = 0;
-  uint64_t cache_misses = 0, cache_evictions = 0;
-  uint64_t slowlog_capacity = 0, slowlog_pending = 0;
-  std::vector<std::string> datasets;
-
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!LinkUp(shard)) continue;
-    std::vector<std::string> replies;
-    if (!links[shard].client.Send(raw + "\n") ||
-        !links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                       &replies)) {
-      continue;
-    }
-    serve::JsonValue root;
-    std::string error;
-    if (!serve::ParseJson(replies[0], &root, &error) ||
-        !root.BoolOr("ok", false)) {
-      continue;
-    }
-    if (const serve::JsonValue* c = root.Find("counters")) {
-      for (const auto& [name, value] : c->AsObject()) {
-        const auto it = CounterIndex().find(name);
-        if (it != CounterIndex().end() && value.is_number()) {
-          counters.values[it->second] +=
-              static_cast<uint64_t>(value.AsNumber());
-        }
-      }
-    }
-    if (const serve::JsonValue* c = root.Find("cache")) {
-      cache_size += static_cast<uint64_t>(c->NumberOr("size", 0.0));
-      cache_capacity += static_cast<uint64_t>(c->NumberOr("capacity", 0.0));
-      cache_hits += static_cast<uint64_t>(c->NumberOr("hits", 0.0));
-      cache_misses += static_cast<uint64_t>(c->NumberOr("misses", 0.0));
-      cache_evictions += static_cast<uint64_t>(c->NumberOr("evictions", 0.0));
-    }
-    if (const serve::JsonValue* g = root.Find("gauges")) {
-      for (const auto& [name, value] : g->AsObject()) {
-        const auto it = GaugeIndex().find(name);
-        if (it != GaugeIndex().end() && value.is_number()) {
-          gauges.values[it->second] +=
-              static_cast<int64_t>(value.AsNumber());
-        }
-      }
-    }
-    if (const serve::JsonValue* h = root.Find("histograms")) {
-      for (const auto& [name, value] : h->AsObject()) {
-        const auto it = HistogramIndex().find(name);
-        if (it != HistogramIndex().end() && value.is_object()) {
-          AddHistogramJson(value, &histograms.series[it->second]);
-        }
-      }
-    }
-    if (const serve::JsonValue* s = root.Find("slowlog")) {
-      slowlog_capacity += static_cast<uint64_t>(s->NumberOr("capacity", 0.0));
-      slowlog_pending += static_cast<uint64_t>(s->NumberOr("pending", 0.0));
-    }
-    if (const serve::JsonValue* d = root.Find("datasets")) {
-      if (d->is_array()) {
-        for (const serve::JsonValue& name : d->AsArray()) {
-          if (name.is_string()) datasets.push_back(name.AsString());
-        }
-      }
-    }
-  }
-  std::sort(datasets.begin(), datasets.end());
-  datasets.erase(std::unique(datasets.begin(), datasets.end()),
-                 datasets.end());
-
-  // Same document shape and key order as a single-process server's
-  // stats response (server.cc), so dashboards need no cluster mode.
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(parsed.id)
-      .Key("ok").Bool(true)
-      .Key("op").String("stats")
-      .Key("profiling").Bool(obs::kProfilingEnabled)
-      .Key("counters").BeginObject();
-  using obs::Counter;
-  for (Counter counter : {Counter::kServeRequests, Counter::kServeBatches,
-                          Counter::kServeBatchedQueries,
-                          Counter::kServeDeadlineExceeded,
-                          Counter::kServeShardScans,
-                          Counter::kServeSnapshotSaves,
-                          Counter::kServeSnapshotLoads,
-                          Counter::kServeShed,
-                          Counter::kClusterScatters,
-                          Counter::kClusterWorkerRestarts,
-                          Counter::kClusterPartialReplies}) {
-    writer.Key(obs::CounterName(counter)).Uint(counters.Get(counter));
-  }
-  writer.EndObject()
-      .Key("shards").BeginObject()
-      .Key("count").Uint(supervisor->shards())
-      .EndObject()
-      .Key("cache").BeginObject()
-      .Key("size").Uint(cache_size)
-      .Key("capacity").Uint(cache_capacity)
-      .Key("hits").Uint(cache_hits)
-      .Key("misses").Uint(cache_misses)
-      .Key("evictions").Uint(cache_evictions)
-      .EndObject()
-      .Key("gauges").BeginObject();
-  for (size_t g = 0; g < obs::kNumGauges; ++g) {
-    const obs::Gauge gauge = static_cast<obs::Gauge>(g);
-    writer.Key(obs::GaugeName(gauge)).Int(gauges.Get(gauge));
-  }
-  writer.EndObject().Key("histograms").BeginObject();
-  for (size_t h = 0; h < obs::kNumHistograms; ++h) {
-    const obs::Histogram histogram = static_cast<obs::Histogram>(h);
-    const obs::HistogramData& data = histograms.Get(histogram);
-    if (data.Empty()) continue;
-    writer.Key(obs::HistogramName(histogram));
-    obs::WriteHistogramObject(writer, data);
-  }
-  writer.EndObject()
-      .Key("slowlog").BeginObject()
-      .Key("capacity").Uint(slowlog_capacity)
-      .Key("pending").Uint(slowlog_pending)
-      .EndObject()
-      .Key("datasets").BeginArray();
-  for (const std::string& name : datasets) writer.String(name);
-  writer.EndArray().EndObject();
-  return writer.TakeOutput();
-}
-
-std::string Router::Impl::HandleMetrics(const ParsedLine& parsed,
-                                        const std::string& raw) {
-  std::lock_guard<std::mutex> lock(scatter_mutex);
-  obs::MetricsSnapshot counters = obs::SnapshotCounters();
-  obs::HistogramSnapshot histograms = obs::SnapshotHistograms();
-  obs::GaugeSnapshot gauges = obs::SnapshotGauges();
-  std::vector<obs::ExpositionExtra> extras;
-  std::map<std::string, size_t> extra_index;
-
-  const auto add_extra = [&](const std::string& name, bool is_counter,
-                             int64_t value) {
-    const auto it = extra_index.find(name);
-    if (it != extra_index.end()) {
-      extras[it->second].value += value;
-      return;
-    }
-    extra_index[name] = extras.size();
-    extras.push_back({name, is_counter, value});
-  };
-
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!LinkUp(shard)) continue;
-    std::vector<std::string> replies;
-    if (!links[shard].client.Send(raw + "\n") ||
-        !links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                       &replies)) {
-      continue;
-    }
-    serve::JsonValue root;
-    std::string error;
-    if (!serve::ParseJson(replies[0], &root, &error) ||
-        !root.BoolOr("ok", false)) {
-      continue;
-    }
-    // Walk the warp-metrics-v1 text line by line. Histogram buckets are
-    // cumulative and ascending, so per-bucket counts fall out of
-    // consecutive differences; the le bound (2^i - 1, parsed exactly as
-    // uint64) inverts to its bucket index via HistogramBucketIndex.
-    const std::string body = root.StringOr("body", "");
-    std::array<uint64_t, obs::kNumHistograms> prev_cum{};
-    size_t pos = 0;
-    while (pos < body.size()) {
-      size_t end = body.find('\n', pos);
-      if (end == std::string::npos) end = body.size();
-      const std::string line = body.substr(pos, end - pos);
-      pos = end + 1;
-      if (line.empty() || line[0] == '#') continue;
-      const size_t space = line.rfind(' ');
-      if (space == std::string::npos) continue;
-      std::string name = line.substr(0, space);
-      const std::string value_str = line.substr(space + 1);
-      if (!StartsWith(name, "warp_")) continue;
-      name.erase(0, 5);
-
-      const size_t brace = name.find("_bucket{le=\"");
-      if (brace != std::string::npos) {
-        const std::string base = name.substr(0, brace);
-        const size_t open = brace + 12;
-        const size_t close = name.find('"', open);
-        if (close == std::string::npos) continue;
-        const std::string bound_str = name.substr(open, close - open);
-        const auto it = HistogramIndex().find(base);
-        if (it == HistogramIndex().end()) continue;
-        if (bound_str == "+Inf") continue;  // Redundant with _count.
-        const uint64_t bound = std::strtoull(bound_str.c_str(), nullptr, 10);
-        const uint64_t cum = std::strtoull(value_str.c_str(), nullptr, 10);
-        const size_t bucket = obs::HistogramBucketIndex(bound);
-        histograms.series[it->second].buckets[bucket] +=
-            cum - prev_cum[it->second];
-        prev_cum[it->second] = cum;
-        continue;
-      }
-      if (EndsWith(name, "_total")) {
-        const std::string base = name.substr(0, name.size() - 6);
-        const auto it = CounterIndex().find(base);
-        if (it != CounterIndex().end()) {
-          counters.values[it->second] +=
-              std::strtoull(value_str.c_str(), nullptr, 10);
-        } else {
-          add_extra(base, true,
-                    static_cast<int64_t>(
-                        std::strtoll(value_str.c_str(), nullptr, 10)));
-        }
-        continue;
-      }
-      if (const auto it = GaugeIndex().find(name); it != GaugeIndex().end()) {
-        gauges.values[it->second] +=
-            std::strtoll(value_str.c_str(), nullptr, 10);
-        continue;
-      }
-      if (EndsWith(name, "_sum")) {
-        const auto it = HistogramIndex().find(name.substr(0, name.size() - 4));
-        if (it != HistogramIndex().end()) {
-          histograms.series[it->second].sum +=
-              std::strtoull(value_str.c_str(), nullptr, 10);
-          continue;
-        }
-      }
-      if (EndsWith(name, "_count")) {
-        const auto it = HistogramIndex().find(name.substr(0, name.size() - 6));
-        if (it != HistogramIndex().end()) {
-          histograms.series[it->second].count +=
-              std::strtoull(value_str.c_str(), nullptr, 10);
-          continue;
-        }
-      }
-      add_extra(name, false,
-                static_cast<int64_t>(
-                    std::strtoll(value_str.c_str(), nullptr, 10)));
-    }
-  }
-
-  const std::string body =
-      obs::RenderMetricsText(counters, histograms, gauges, extras);
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(parsed.id)
-      .Key("ok").Bool(true)
-      .Key("op").String("metrics")
-      .Key("format").String("warp-metrics-v1")
-      .Key("body").String(body)
-      .EndObject();
-  return writer.TakeOutput();
+  return serve::FormatDatasetReply(parsed.id, ControlOp::kInfo, info,
+                                   front_end.port());
 }
 
 std::string Router::Impl::HandleSlowlog(const ParsedLine& parsed,
                                         const std::string& raw) {
-  std::lock_guard<std::mutex> lock(scatter_mutex);
   uint64_t capacity = 0;
-  std::vector<SlowEntry> entries;
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!LinkUp(shard)) continue;
-    std::vector<std::string> replies;
-    if (!links[shard].client.Send(raw + "\n") ||
-        !links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                       &replies)) {
-      continue;
-    }
-    serve::JsonValue root;
+  std::vector<serve::SlowQueryRecord> entries;
+  for (const WorkerReply& reply : Broadcast(raw)) {
+    uint64_t worker_capacity = 0;
+    std::vector<serve::SlowQueryRecord> worker_entries;
     std::string error;
-    if (!serve::ParseJson(replies[0], &root, &error) ||
-        !root.BoolOr("ok", false)) {
+    if (!serve::ParseSlowlogReply(reply.line, &worker_capacity,
+                                  &worker_entries, &error)) {
       continue;
     }
-    capacity += static_cast<uint64_t>(root.NumberOr("capacity", 0.0));
-    const serve::JsonValue* list = root.Find("entries");
-    if (list == nullptr || !list->is_array()) continue;
-    for (const serve::JsonValue& e : list->AsArray()) {
-      SlowEntry entry;
-      entry.id = static_cast<int64_t>(e.NumberOr("id", 0.0));
-      entry.op = e.StringOr("op", "");
-      entry.dataset = e.StringOr("dataset", "");
-      entry.measure = e.StringOr("measure", "");
-      entry.engine_us = e.NumberOr("engine_us", 0.0);
-      entry.total_us = e.NumberOr("total_us", 0.0);
-      entry.cells = static_cast<uint64_t>(e.NumberOr("cells", 0.0));
-      entry.scanned = static_cast<uint64_t>(e.NumberOr("scanned", 0.0));
-      entry.total = static_cast<uint64_t>(e.NumberOr("total", 0.0));
-      entry.partial = e.BoolOr("partial", false);
-      entries.push_back(std::move(entry));
-    }
+    capacity += worker_capacity;
+    entries.insert(entries.end(),
+                   std::make_move_iterator(worker_entries.begin()),
+                   std::make_move_iterator(worker_entries.end()));
   }
-  // Same order the single server drains in: slowest engine time first.
+  // Same order the single server drains in: slowest engine time first
+  // (ties keep shard order).
   std::stable_sort(entries.begin(), entries.end(),
-                   [](const SlowEntry& a, const SlowEntry& b) {
+                   [](const serve::SlowQueryRecord& a,
+                      const serve::SlowQueryRecord& b) {
                      return a.engine_us > b.engine_us;
                    });
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(parsed.id)
-      .Key("ok").Bool(true)
-      .Key("op").String("slowlog")
-      .Key("capacity").Uint(capacity)
-      .Key("entries").BeginArray();
-  for (const SlowEntry& entry : entries) {
-    writer.BeginObject()
-        .Key("id").Int(entry.id)
-        .Key("op").String(entry.op)
-        .Key("dataset").String(entry.dataset)
-        .Key("measure").String(entry.measure)
-        .Key("engine_us").Double(entry.engine_us)
-        .Key("total_us").Double(entry.total_us)
-        .Key("cells").Uint(entry.cells)
-        .Key("scanned").Uint(entry.scanned)
-        .Key("total").Uint(entry.total)
-        .Key("partial").Bool(entry.partial)
-        .EndObject();
-  }
-  writer.EndArray().EndObject();
-  return writer.TakeOutput();
+  return serve::FormatSlowlogReply(parsed.id, capacity, entries);
 }
 
 std::string Router::Impl::HandleLoadLike(const ParsedLine& parsed,
                                          const std::string& raw) {
-  const char* op_name =
+  const std::string op_name =
       parsed.control == ControlOp::kLoad ? "load" : "load_snapshot";
-  std::lock_guard<std::mutex> lock(scatter_mutex);
   // Loads change the epoch sequence, which every worker must share: a
   // worker that misses one would refuse every stamped scan afterwards.
   // Refuse up front rather than let the cluster diverge.
   for (size_t shard = 0; shard < links.size(); ++shard) {
     if (!LinkUp(shard)) {
       return serve::FormatErrorLine(
-          parsed.id, std::string(op_name) +
-                         " requires every shard worker up; shard " +
+          parsed.id, op_name + " requires every shard worker up; shard " +
                          std::to_string(shard) + " is down");
     }
   }
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!links[shard].client.Send(raw + "\n")) {
-      return serve::FormatErrorLine(
-          parsed.id, std::string(op_name) + ": shard " +
-                         std::to_string(shard) + " worker failed");
+  const std::vector<WorkerReply> replies = Broadcast(raw);
+  for (size_t shard = 0; shard < replies.size(); ++shard) {
+    if (!replies[shard].sent) {
+      return serve::FormatErrorLine(parsed.id,
+                                    op_name + ": shard " +
+                                        std::to_string(shard) +
+                                        " worker failed");
     }
   }
-  std::vector<std::string> replies(links.size());
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    std::vector<std::string> reply;
-    if (!links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                       &reply)) {
+  for (size_t shard = 0; shard < replies.size(); ++shard) {
+    if (replies[shard].line.empty()) {
       return serve::FormatErrorLine(
           parsed.id,
-          std::string(op_name) + ": shard " + std::to_string(shard) +
+          op_name + ": shard " + std::to_string(shard) +
               " worker failed mid-load; cluster epochs may have diverged");
     }
-    replies[shard] = std::move(reply[0]);
   }
   // Every worker executed the identical registration against the same
   // store state, so the replies must match byte-for-byte; a divergence
   // means the cluster is no longer in lockstep.
   for (size_t shard = 1; shard < replies.size(); ++shard) {
-    if (replies[shard] != replies[0]) {
+    if (replies[shard].line != replies[0].line) {
       return serve::FormatErrorLine(
-          parsed.id, std::string(op_name) +
-                         ": shard workers disagree; cluster epochs diverged");
+          parsed.id,
+          op_name + ": shard workers disagree; cluster epochs diverged");
     }
   }
   serve::JsonValue root;
   std::string error;
-  if (serve::ParseJson(replies[0], &root, &error) &&
-      root.BoolOr("ok", false)) {
-    DatasetInfo info;
-    info.epoch = static_cast<uint64_t>(root.NumberOr("epoch", 0.0));
-    info.size = static_cast<uint64_t>(root.NumberOr("size", 0.0));
-    const std::string name = root.StringOr("dataset", "");
-    if (!name.empty()) dataset_info[name] = info;
+  DatasetInfo info;
+  if (serve::ParseJson(replies[0].line, &root, &error)) {
+    RememberInfo(root, &info);
   }
-  return replies[0];
-}
-
-std::string Router::Impl::HandleSaveSnapshot(const ParsedLine& parsed,
-                                             const std::string& raw) {
-  std::lock_guard<std::mutex> lock(scatter_mutex);
-  std::string reply;
-  if (!FirstWorkerRoundTrip(raw + "\n", &reply)) {
-    return serve::FormatErrorLine(parsed.id, "no shard workers available");
-  }
-  return reply;
-}
-
-std::string Router::Impl::HandleShutdown(const ParsedLine& parsed,
-                                         const std::string& raw) {
-  // Stop resurrecting first: the workers' clean exits below are not
-  // failures. Their shutdown acks are read (best effort) so the send is
-  // not lost to a closing socket.
-  supervisor->DisableRestarts();
-  std::lock_guard<std::mutex> lock(scatter_mutex);
-  for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!LinkUp(shard)) continue;
-    std::vector<std::string> replies;
-    if (links[shard].client.Send(raw + "\n")) {
-      links[shard].client.ReadLines(1, options.gather_timeout_ms, &replies);
-    }
-    links[shard].client.Disconnect();
-  }
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(parsed.id)
-      .Key("ok").Bool(true)
-      .Key("op").String("shutdown")
-      .EndObject();
-  return writer.TakeOutput();
-}
-
-void Router::Impl::HandleConnection(Connection* connection) {
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, 1);
-  std::string first;
-  while (!shutdown.load(std::memory_order_relaxed) &&
-         connection->conn.ReadLine(&first)) {
-    std::vector<std::string> lines;
-    lines.push_back(std::move(first));
-    while (connection->conn.HasBufferedLine()) {
-      std::string more;
-      if (!connection->conn.ReadLine(&more)) break;
-      lines.push_back(std::move(more));
-    }
-
-    // Same in-order semantics as the single-process server: runs of
-    // consecutive queries scatter as one batch; a control op flushes the
-    // pending batch first.
-    std::vector<std::string> out(lines.size());
-    std::vector<ServeRequest> queries;
-    std::vector<size_t> query_slot;
-    const auto flush_queries = [&] {
-      if (queries.empty()) return;
-      std::vector<std::string> responses;
-      ExecuteQueries(queries, &responses);
-      for (size_t j = 0; j < responses.size(); ++j) {
-        out[query_slot[j]] = std::move(responses[j]);
-      }
-      queries.clear();
-      query_slot.clear();
-    };
-    bool want_shutdown = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;
-      ParsedLine parsed;
-      std::string error;
-      if (!serve::ParseRequestLine(lines[i], &parsed, &error)) {
-        out[i] = serve::FormatErrorLine(parsed.id, error);
-      } else if (parsed.control == ControlOp::kNone) {
-        queries.push_back(std::move(parsed.request));
-        query_slot.push_back(i);
-      } else {
-        flush_queries();
-        out[i] = HandleControl(parsed, lines[i]);
-        if (parsed.control == ControlOp::kShutdown) want_shutdown = true;
-      }
-    }
-    flush_queries();
-
-    std::string payload;
-    for (const std::string& response : out) {
-      if (response.empty()) continue;
-      payload += response;
-      payload += '\n';
-    }
-    if (!payload.empty() && !connection->conn.WriteAll(payload)) break;
-    if (want_shutdown) {
-      shutdown.store(true, std::memory_order_relaxed);
-      break;
-    }
-  }
-  connection->conn.ShutdownBoth();
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, -1);
+  return replies[0].line;
 }
 
 Router::Router(const RouterOptions& options, Supervisor* supervisor)
     : impl_(std::make_unique<Impl>(options, supervisor)) {}
 
-Router::~Router() {
-  RequestShutdown();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-}
+Router::~Router() = default;
 
 bool Router::Start(std::string* error) {
-  return impl_->listener.Listen(static_cast<uint16_t>(impl_->options.port),
+  return impl_->front_end.Start(static_cast<uint16_t>(impl_->options.port),
                                 error);
 }
 
-int Router::port() const { return impl_->listener.port(); }
+int Router::port() const { return impl_->front_end.port(); }
 
-void Router::Serve() {
-  while (!impl_->shutdown.load(std::memory_order_relaxed)) {
-    bool timed_out = false;
-    serve::TcpConn conn =
-        impl_->listener.AcceptWithTimeout(kAcceptPollMs, &timed_out);
-    if (!conn.valid()) {
-      if (timed_out) continue;
-      break;
-    }
-    auto connection = std::make_unique<Impl::Connection>();
-    connection->conn = std::move(conn);
-    Impl::Connection* raw = connection.get();
-    connection->thread =
-        std::thread([this, raw] { impl_->HandleConnection(raw); });
-    std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-    impl_->connections.push_back(std::move(connection));
-  }
+void Router::Serve() { impl_->front_end.Serve(); }
 
-  impl_->listener.Close();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  impl_->connections.clear();
-}
-
-void Router::RequestShutdown() {
-  impl_->shutdown.store(true, std::memory_order_relaxed);
-}
+void Router::RequestShutdown() { impl_->front_end.RequestShutdown(); }
 
 int RunRouter(Router* router) {
-  std::string error;
-  if (!router->Start(&error)) {
-    std::fprintf(stderr, "warp_cluster: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("warp_cluster listening on 127.0.0.1:%d\n", router->port());
-  std::printf("ready port=%d\n", router->port());
-  std::fflush(stdout);
-  router->Serve();
-  return 0;
+  return router->impl_->front_end.Run(
+      "warp_cluster", static_cast<uint16_t>(router->impl_->options.port));
 }
 
 }  // namespace cluster

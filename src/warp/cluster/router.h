@@ -2,29 +2,27 @@
 // protocol to clients, scattering every query to the shard workers and
 // gathering their sub-scans into answers that are BITWISE-identical to a
 // single-process `--shards=N` server (docs/SERVING.md, "Multi-process
-// cluster").
+// cluster"). Connection handling is the server's own serve::FrontEnd.
 //
 // Determinism contract, layer by layer:
 //   * every sub-scan is stamped ("shard":K, "shard_epoch":E) via
 //     FormatRequest, and a worker refuses mis-routed or stale work, so an
 //     answer can only ever be assembled from the pinned partition;
-//   * 1nn/knn gather merges the workers' per-shard top-k lists in shard
-//     order under the strict (distance, index) order — a set property
-//     that reproduces the single process's shard-major chunk merge;
-//   * range hits are concatenated and re-sorted by global index, exactly
-//     the single process's final sort;
+//   * scan replies gather in shard order through serve::MergeNeighbors,
+//     the merge the engine runs over its chunks, so the split into shards
+//     is invisible;
 //   * dist/subsequence go only to the owning shard
 //     (ShardRouter::Partition) and the reply is relayed field-for-field;
-//   * doubles cross the wire via FormatDouble <-> strtod, so every
-//     distance survives bit-for-bit and the re-serialized merge is
-//     byte-identical.
+//   * doubles cross the wire via FormatDouble <-> strtod, bit-for-bit.
 //
-// Degradation: while a shard's worker is down, scan queries still answer
-// from the remaining shards with `partial:true` and `shards_missing:[K]`
-// (never cached by workers, so recovery is clean); dist/subsequence
-// targeting the dead shard fail fast with an error. Stats, metrics, and
-// slowlog fan out to every live worker and merge order-independently
-// (counter sums, bucket-wise histogram merges).
+// Degradation: while a shard's worker is down, or its reply does not
+// parse, scan queries still answer from the remaining shards with
+// `partial:true` and `shards_missing:[K]`; dist/subsequence targeting the
+// dead shard fail fast with an error. Stats, metrics and telemetry merge
+// the router's registries with every live worker's `telemetry` snapshot
+// and render it with the server's renderers (serve/telemetry.h), so the
+// schema is a plain server's even with every worker down; slowlog drains
+// every live worker and re-sorts by engine time.
 
 #ifndef WARP_CLUSTER_ROUTER_H_
 #define WARP_CLUSTER_ROUTER_H_
@@ -61,12 +59,14 @@ class Router {
   void RequestShutdown();
 
  private:
+  friend int RunRouter(Router* router);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-// Start + the "listening"/"ready port=" stdout lines + Serve, mirroring
-// serve::RunServer. Returns a process exit code.
+// Start + the "warp_cluster listening on ..." / "ready port=" stdout
+// lines + Serve (serve::FrontEnd::Run). Returns a process exit code.
 int RunRouter(Router* router);
 
 }  // namespace cluster

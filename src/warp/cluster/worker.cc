@@ -70,12 +70,5 @@ bool WorkerClient::ReadLines(size_t expect, int timeout_ms,
   return true;
 }
 
-bool WorkerClient::RoundTrip(const std::string& payload, size_t expect,
-                             std::vector<std::string>* responses) {
-  responses->clear();
-  if (!Send(payload)) return false;
-  return ReadLines(expect, /*timeout_ms=*/0, responses);
-}
-
 }  // namespace cluster
 }  // namespace warp

@@ -65,10 +65,6 @@ class WorkerClient {
   bool ReadLines(size_t expect, int timeout_ms,
                  std::vector<std::string>* responses);
 
-  // Send + ReadLines: the one-worker convenience round trip.
-  bool RoundTrip(const std::string& payload, size_t expect,
-                 std::vector<std::string>* responses);
-
  private:
   serve::TcpConn conn_;
 };

@@ -187,30 +187,6 @@ void TcpListener::Close() {
   port_ = 0;
 }
 
-TcpConn ConnectLoopback(int port, std::string* error) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return TcpConn();
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  int rc;
-  do {
-    rc = connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    *error = std::string("connect 127.0.0.1:") + std::to_string(port) + ": " +
-             std::strerror(errno);
-    close(fd);
-    return TcpConn();
-  }
-  SetNoDelay(fd);
-  return TcpConn(fd);
-}
-
 TcpConn ConnectLoopbackTimeout(int port, int timeout_ms,
                                std::string* error) {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
@@ -251,12 +227,15 @@ TcpConn ConnectLoopbackTimeout(int port, int timeout_ms,
       return TcpConn();
     }
   }
-  // Back to blocking mode: callers use the same ReadLine/WriteAll
-  // discipline as ConnectLoopback connections.
+  // Back to blocking mode for the ReadLine/WriteAll discipline.
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
   SetNoDelay(fd);
   return TcpConn(fd);
+}
+
+TcpConn ConnectLoopback(int port, std::string* error) {
+  return ConnectLoopbackTimeout(port, /*timeout_ms=*/-1, error);
 }
 
 }  // namespace serve

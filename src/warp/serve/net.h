@@ -92,9 +92,9 @@ class TcpListener {
 // on failure.
 TcpConn ConnectLoopback(int port, std::string* error);
 
-// Like ConnectLoopback but gives up after `timeout_ms` instead of
-// blocking in connect(). The cluster router and supervisor use this so a
-// wedged worker costs a bounded wait, not a hang.
+// Like ConnectLoopback but gives up after `timeout_ms` (< 0: never)
+// instead of blocking in connect(). The cluster router and supervisor use
+// this so a wedged worker costs a bounded wait, not a hang.
 TcpConn ConnectLoopbackTimeout(int port, int timeout_ms, std::string* error);
 
 }  // namespace serve

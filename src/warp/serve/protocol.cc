@@ -1,6 +1,6 @@
 #include "warp/serve/protocol.h"
 
-#include <cmath>
+#include <limits>
 
 #include "warp/common/stopwatch.h"
 #include "warp/obs/histogram.h"
@@ -12,18 +12,20 @@ namespace serve {
 
 namespace {
 
-bool ReadSizeT(const JsonValue& object, const std::string& key,
-               size_t* value, std::string* error) {
+// Reads the optional integer member `key` through the checked reader
+// (wire.h); an absent member keeps *value. `what` names the rule in the
+// client-facing error.
+template <typename T>
+bool ReadIntegerMember(const JsonValue& object, const std::string& key,
+                       const char* what, T* value, std::string* error,
+                       T lo = std::numeric_limits<T>::min()) {
   const JsonValue* member = object.Find(key);
-  if (member == nullptr) return true;  // Optional; keep default.
-  if (!member->is_number() || member->AsNumber() < 0 ||
-      std::floor(member->AsNumber()) != member->AsNumber()) {
-    *error = "'" + key + "' must be a non-negative integer";
-    return false;
-  }
-  *value = static_cast<size_t>(member->AsNumber());
-  return true;
+  if (member == nullptr || ReadInteger(*member, value, lo)) return true;
+  *error = "'" + key + "' must be " + what;
+  return false;
 }
+
+constexpr char kUnsigned[] = "a non-negative integer";
 
 }  // namespace
 
@@ -38,7 +40,9 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
     *error = "request must be a JSON object";
     return false;
   }
-  out->id = static_cast<int64_t>(root.NumberOr("id", 0.0));
+  if (!ReadIntegerMember(root, "id", "an integer", &out->id, error)) {
+    return false;
+  }
   out->request.id = out->id;
 
   const std::string op = root.StringOr("op", "");
@@ -52,6 +56,10 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
   if (op == "stats") { out->control = ControlOp::kStats; return true; }
   if (op == "metrics") { out->control = ControlOp::kMetrics; return true; }
   if (op == "slowlog") { out->control = ControlOp::kSlowlog; return true; }
+  if (op == "telemetry") {
+    out->control = ControlOp::kTelemetry;
+    return true;
+  }
   if (op == "shutdown") { out->control = ControlOp::kShutdown; return true; }
   if (op == "save_snapshot") {
     out->control = ControlOp::kSaveSnapshot;
@@ -123,12 +131,9 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
 
   MeasureParams& params = request.params;
   params.window_fraction = root.NumberOr("window", params.window_fraction);
-  if (const JsonValue* band = root.Find("band")) {
-    if (!band->is_number() || band->AsNumber() < 0) {
-      *error = "'band' must be a non-negative cell count";
-      return false;
-    }
-    params.band_cells = static_cast<long>(band->AsNumber());
+  if (!ReadIntegerMember(root, "band", "a non-negative cell count",
+                         &params.band_cells, error, 0L)) {
+    return false;
   }
   const std::string cost = root.StringOr("cost", "squared");
   if (cost == "squared") {
@@ -146,10 +151,12 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
   params.lcss_epsilon = root.NumberOr("epsilon", params.lcss_epsilon);
   params.erp_gap = root.NumberOr("gap", params.erp_gap);
   params.msm_cost = root.NumberOr("c", params.msm_cost);
-  if (!ReadSizeT(root, "radius", &params.fastdtw_radius, error)) return false;
-
-  if (!ReadSizeT(root, "k", &request.k, error)) return false;
-  if (!ReadSizeT(root, "index", &request.index, error)) return false;
+  if (!ReadIntegerMember(root, "radius", kUnsigned, &params.fastdtw_radius,
+                         error) ||
+      !ReadIntegerMember(root, "k", kUnsigned, &request.k, error) ||
+      !ReadIntegerMember(root, "index", kUnsigned, &request.index, error)) {
+    return false;
+  }
   request.threshold = root.NumberOr("threshold", request.threshold);
   request.deadline_ms = root.NumberOr("deadline_ms", request.deadline_ms);
   request.znormalize = root.BoolOr("znorm", request.znormalize);
@@ -157,17 +164,12 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
 
   // Cluster scatter stamp: a router targets one worker's shard at one
   // dataset epoch; the worker refuses anything else (query_engine.cc).
-  if (const JsonValue* shard = root.Find("shard")) {
-    if (!shard->is_number() || shard->AsNumber() < 0 ||
-        std::floor(shard->AsNumber()) != shard->AsNumber()) {
-      *error = "'shard' must be a non-negative integer";
-      return false;
-    }
-    request.shard_filter = static_cast<long>(shard->AsNumber());
+  if (!ReadIntegerMember(root, "shard", kUnsigned, &request.shard_filter,
+                         error, 0L) ||
+      !ReadIntegerMember(root, "shard_epoch", kUnsigned,
+                         &request.require_epoch, error)) {
+    return false;
   }
-  size_t epoch = 0;
-  if (!ReadSizeT(root, "shard_epoch", &epoch, error)) return false;
-  request.require_epoch = epoch;
 
   const JsonValue* query = root.Find("query");
   if (query == nullptr || !query->is_array()) {
@@ -264,6 +266,64 @@ std::string FormatErrorLine(int64_t id, const std::string& error) {
   return writer.TakeOutput();
 }
 
+std::string FormatAckLine(int64_t id, const char* op) {
+  obs::JsonWriter writer;
+  writer.BeginObject()
+      .Key("id").Int(id)
+      .Key("ok").Bool(true)
+      .Key("op").String(op)
+      .EndObject();
+  return writer.TakeOutput();
+}
+
+std::string FormatDatasetReply(int64_t id, ControlOp op,
+                               const DatasetInfo& info, int port,
+                               long worker_shard) {
+  const char* name = op == ControlOp::kInfo   ? "info"
+                     : op == ControlOp::kLoad ? "load"
+                                              : "load_snapshot";
+  obs::JsonWriter writer;
+  writer.BeginObject()
+      .Key("id").Int(id)
+      .Key("ok").Bool(true)
+      .Key("op").String(name)
+      .Key("dataset").String(info.dataset)
+      .Key("size").Uint(info.size)
+      .Key("length").Uint(info.length)
+      .Key("epoch").Uint(info.epoch);
+  if (op != ControlOp::kLoad) writer.Key("shards").Uint(info.shards);
+  if (op == ControlOp::kInfo) {
+    writer.Key("port").Int(port);
+    if (worker_shard >= 0) writer.Key("worker_shard").Int(worker_shard);
+    writer.Key("bands").BeginArray();
+    for (const uint64_t band : info.bands) writer.Uint(band);
+    writer.EndArray();
+  }
+  writer.EndObject();
+  return writer.TakeOutput();
+}
+
+bool ReadDatasetInfo(const JsonValue& reply, DatasetInfo* out) {
+  std::string error;
+  const JsonValue* size = reply.Find("size");
+  const JsonValue* epoch = reply.Find("epoch");
+  out->dataset = reply.StringOr("dataset", "");
+  if (out->dataset.empty() || size == nullptr || epoch == nullptr ||
+      !ReadInteger(*size, &out->size) || !ReadInteger(*epoch, &out->epoch) ||
+      !ReadIntegerMember(reply, "length", kUnsigned, &out->length, &error) ||
+      !ReadIntegerMember(reply, "shards", kUnsigned, &out->shards, &error)) {
+    return false;
+  }
+  out->bands.clear();
+  if (const JsonValue* bands = reply.Find("bands")) {
+    for (const JsonValue& band : bands->AsArray()) {
+      out->bands.emplace_back();
+      if (!ReadInteger(band, &out->bands.back())) return false;
+    }
+  }
+  return true;
+}
+
 std::string FormatRequest(const ServeRequest& request) {
   obs::JsonWriter writer;
   writer.BeginObject()
@@ -315,7 +375,9 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
     *error = "response must be a JSON object";
     return false;
   }
-  out->id = static_cast<int64_t>(root.NumberOr("id", 0.0));
+  if (!ReadIntegerMember(root, "id", "an integer", &out->id, error)) {
+    return false;
+  }
   out->ok = root.BoolOr("ok", false);
   if (!out->ok) {
     out->error = root.StringOr("error", "unknown error");
@@ -327,8 +389,10 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
     return false;
   }
   out->partial = root.BoolOr("partial", false);
-  out->scanned = static_cast<uint64_t>(root.NumberOr("scanned", 0.0));
-  out->total = static_cast<uint64_t>(root.NumberOr("total", 0.0));
+  if (!ReadIntegerMember(root, "scanned", kUnsigned, &out->scanned, error) ||
+      !ReadIntegerMember(root, "total", kUnsigned, &out->total, error)) {
+    return false;
+  }
   if (const JsonValue* neighbors = root.Find("neighbors")) {
     if (!neighbors->is_array()) {
       *error = "'neighbors' must be an array";
@@ -341,25 +405,33 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
         return false;
       }
       Neighbor neighbor;
-      neighbor.index = static_cast<size_t>(entry.NumberOr("index", 0.0));
-      neighbor.label = static_cast<int>(entry.NumberOr("label", 0.0));
+      if (!ReadIntegerMember(entry, "index", kUnsigned, &neighbor.index,
+                             error) ||
+          !ReadIntegerMember(entry, "label", "an integer", &neighbor.label,
+                             error)) {
+        return false;
+      }
       neighbor.distance = entry.NumberOr("distance", 0.0);
       out->neighbors.push_back(neighbor);
     }
   }
   out->distance = root.NumberOr("distance", 0.0);
-  out->position = static_cast<size_t>(root.NumberOr("position", 0.0));
+  if (!ReadIntegerMember(root, "position", kUnsigned, &out->position,
+                         error)) {
+    return false;
+  }
   if (const JsonValue* missing = root.Find("shards_missing")) {
     if (!missing->is_array()) {
       *error = "'shards_missing' must be an array";
       return false;
     }
     for (const JsonValue& shard : missing->AsArray()) {
-      if (!shard.is_number()) {
-        *error = "'shards_missing' entries must be numbers";
+      size_t index = 0;
+      if (!ReadInteger(shard, &index)) {
+        *error = "'shards_missing' entries must be non-negative integers";
         return false;
       }
-      out->shards_missing.push_back(static_cast<size_t>(shard.AsNumber()));
+      out->shards_missing.push_back(index);
     }
   }
   return true;

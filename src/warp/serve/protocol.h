@@ -20,6 +20,8 @@
 namespace warp {
 namespace serve {
 
+class JsonValue;
+
 // Operations the server answers without the query engine.
 enum class ControlOp {
   kNone,      // Not a control op: `request` holds a query.
@@ -28,6 +30,7 @@ enum class ControlOp {
   kStats,     // Counters, cache, gauges, histograms, slowlog summary.
   kMetrics,   // warp-metrics-v1 text exposition (docs/SERVING.md).
   kSlowlog,   // Drain the slow-query log (sorted by engine time, desc).
+  kTelemetry,  // The typed telemetry snapshot, lossless (serve/telemetry.h).
   kLoad,      // Load a UCR file into the store.
   kSaveSnapshot,  // Persist a dataset's index as a warp-snap-v1 file.
   kLoadSnapshot,  // Register a dataset from a warp-snap-v1 file.
@@ -47,7 +50,10 @@ struct ParsedLine {
 
 // Parses one wire line. On failure returns false and fills *error with a
 // client-presentable message (*out->id is still filled when the line had
-// a readable id, so the error response can echo it).
+// a readable id, so the error response can echo it). Integer fields go
+// through ReadInteger (wire.h): a present value that is fractional,
+// negative where unsigned, or too big for its field is an error, never
+// a silent cast.
 bool ParseRequestLine(const std::string& line, ParsedLine* out,
                       std::string* error);
 
@@ -57,6 +63,32 @@ std::string FormatResponse(const ServeResponse& response);
 
 // An error response line for requests that never reached the engine.
 std::string FormatErrorLine(int64_t id, const std::string& error);
+
+// A bare success line, {"id":…,"ok":true,"op":…}: the ping and shutdown
+// acknowledgements.
+std::string FormatAckLine(int64_t id, const char* op);
+
+// The dataset an `info`, `load` or `load_snapshot` reply describes.
+struct DatasetInfo {
+  std::string dataset;
+  uint64_t size = 0;
+  uint64_t length = 0;
+  uint64_t epoch = 0;
+  uint64_t shards = 0;
+  std::vector<uint64_t> bands;
+};
+
+// The reply of those three ops: dataset, size, length and epoch, then
+// shards (not for `load`), then for `info` the port, the worker marker
+// (`worker_shard` >= 0, cluster workers only) and the indexed bands.
+std::string FormatDatasetReply(int64_t id, ControlOp op,
+                               const DatasetInfo& info, int port = 0,
+                               long worker_shard = -1);
+
+// Reads the DatasetInfo of an ok FormatDatasetReply line: `dataset`,
+// `size` and `epoch` are required, the rest default when absent. False
+// when a field is missing or out of range.
+bool ReadDatasetInfo(const JsonValue& reply, DatasetInfo* out);
 
 // Serializes a query request as one wire line, no trailing newline.
 // Every parameter ParseRequestLine reads is emitted explicitly, so

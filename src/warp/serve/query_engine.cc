@@ -38,13 +38,6 @@ double PointCost(double a, double b, CostKind kind) {
   return kind == CostKind::kAbsolute ? std::fabs(d) : d * d;
 }
 
-// (distance, index) lexicographic order: the scan's total order. Ties on
-// distance go to the earlier series, matching a serial first-wins scan.
-bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
-}
-
 // Per-request deadline state shared across scan workers. `expired` is
 // monotone: once set, chunks stop scanning new candidates (their already
 // scanned prefix stays in the merge, so the partial answer is exact over
@@ -89,14 +82,6 @@ struct SharedBound {
 struct ChunkHits {
   std::vector<Neighbor> hits;  // Sorted by NeighborLess for top-k mode.
   uint64_t scanned = 0;
-
-  void AddTopK(const Neighbor& n, size_t k) {
-    const auto pos =
-        std::lower_bound(hits.begin(), hits.end(), n, NeighborLess);
-    if (hits.size() == k && pos == hits.end()) return;
-    hits.insert(pos, n);
-    if (hits.size() > k) hits.pop_back();
-  }
 
   double KthBound(size_t k) const {
     return hits.size() == k ? hits.back().distance : kInf;
@@ -311,11 +296,6 @@ struct QueryEngine::Impl {
     return band < 0 ? 0 : static_cast<size_t>(band);
   }
 
-  static bool IsScanOp(QueryOp op) {
-    return op == QueryOp::k1Nn || op == QueryOp::kKnn ||
-           op == QueryOp::kRange;
-  }
-
   ServeResponse Execute(const ServeRequest& request,
                         const StoredDataset& stored, const ExecContext& ctx) {
     switch (request.op) {
@@ -521,7 +501,8 @@ struct QueryEngine::Impl {
           out.hits.push_back({global, shard.data[i].label(), distance});
         }
       } else {
-        out.AddTopK({global, shard.data[i].label(), distance}, plan.k);
+        AddTopK(&out.hits, {global, shard.data[i].label(), distance},
+                plan.k);
         if (plan.k == 1) plan.shared.Lower(distance);
       }
     }
@@ -532,8 +513,9 @@ struct QueryEngine::Impl {
   // flattened batch paths. Shard-layout-independent too: top-k merging
   // selects the k smallest under the strict (distance, index) order (a
   // set property), and range hits are re-sorted into global index order
-  // below (a no-op at 1 shard, where chunk concatenation is already
-  // index-ordered).
+  // (a no-op at 1 shard, where chunk concatenation is already
+  // index-ordered) — both in MergeNeighbors, the cluster router's merge
+  // too.
   ServeResponse MergeScan(ScanPlan& plan) {
     const Stopwatch merge_watch;
     const ServeRequest& request = *plan.request;
@@ -559,22 +541,10 @@ struct QueryEngine::Impl {
       if (slice.shard->size() > 0) ++shard_scans;
     }
     WARP_COUNT_ADD(obs::Counter::kServeShardScans, shard_scans);
-    if (plan.is_range) {
-      for (ChunkHits& chunk : plan.chunks) {
-        response.neighbors.insert(response.neighbors.end(),
-                                  chunk.hits.begin(), chunk.hits.end());
-      }
-      std::sort(response.neighbors.begin(), response.neighbors.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  return a.index < b.index;
-                });
-    } else {
-      ChunkHits merged;
-      for (const ChunkHits& chunk : plan.chunks) {
-        for (const Neighbor& n : chunk.hits) merged.AddTopK(n, plan.k);
-      }
-      response.neighbors = std::move(merged.hits);
-    }
+    std::vector<std::vector<Neighbor>> parts;
+    parts.reserve(plan.chunks.size());
+    for (ChunkHits& chunk : plan.chunks) parts.push_back(std::move(chunk.hits));
+    response.neighbors = MergeNeighbors(request.op, plan.k, parts);
     response.trace.engine_us =
         static_cast<double>(
             plan.engine_nanos.load(std::memory_order_relaxed)) *
@@ -773,7 +743,7 @@ void QueryEngine::RunBatch(const std::vector<ServeRequest>& requests,
       }
       const double cache_us =
           impl_->cache != nullptr ? lookup.ElapsedMicros() : 0.0;
-      if (Impl::IsScanOp(request.op)) {
+      if (IsScanOp(request.op)) {
         std::unique_ptr<Impl::ScanPlan> plan =
             impl_->PrepareScan(request, *snap);
         plan->slot = r;

@@ -36,5 +36,29 @@ bool ParseQueryOp(const std::string& name, QueryOp* op) {
   return true;
 }
 
+bool IsScanOp(QueryOp op) {
+  return op == QueryOp::k1Nn || op == QueryOp::kKnn || op == QueryOp::kRange;
+}
+
+std::vector<Neighbor> MergeNeighbors(
+    QueryOp op, size_t k, const std::vector<std::vector<Neighbor>>& parts) {
+  std::vector<Neighbor> merged;
+  if (op == QueryOp::kRange) {
+    for (const std::vector<Neighbor>& part : parts) {
+      merged.insert(merged.end(), part.begin(), part.end());
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                return a.index < b.index;
+              });
+    return merged;
+  }
+  if (op == QueryOp::k1Nn) k = 1;
+  for (const std::vector<Neighbor>& part : parts) {
+    for (const Neighbor& n : part) AddTopK(&merged, n, k);
+  }
+  return merged;
+}
+
 }  // namespace serve
 }  // namespace warp

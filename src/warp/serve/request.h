@@ -8,6 +8,7 @@
 #ifndef WARP_SERVE_REQUEST_H_
 #define WARP_SERVE_REQUEST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +33,9 @@ enum class QueryOp {
 // "1nn", "knn", ... — the wire op names.
 const char* QueryOpName(QueryOp op);
 bool ParseQueryOp(const std::string& name, QueryOp* op);
+
+// 1nn / knn / range: the ops that scan every candidate.
+bool IsScanOp(QueryOp op);
 
 // Per-request stage timings (docs/SERVING.md, "Serving telemetry").
 // Wall-clock values: they are recorded into the obs histograms for every
@@ -80,6 +84,31 @@ struct Neighbor {
   int label = 0;
   double distance = 0.0;
 };
+
+// (distance, index) lexicographic order: the scan's total order. Ties on
+// distance go to the earlier series, matching a serial first-wins scan.
+inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.index < b.index;
+}
+
+// Inserts `n` into `hits` (sorted by NeighborLess, at most k long),
+// keeping the k smallest. Inline: it runs once per surviving candidate.
+inline void AddTopK(std::vector<Neighbor>* hits, const Neighbor& n,
+                    size_t k) {
+  const auto pos =
+      std::lower_bound(hits->begin(), hits->end(), n, NeighborLess);
+  if (hits->size() == k && pos == hits->end()) return;
+  hits->insert(pos, n);
+  if (hits->size() > k) hits->pop_back();
+}
+
+// The one neighbor merge, for the engine's chunk gather and the router's
+// shard gather: range hits concatenate and sort by index; 1nn/knn keep the
+// k smallest under NeighborLess (k = 1 for 1nn) — a set property, so how
+// the candidates were split into `parts` never shows in the answer.
+std::vector<Neighbor> MergeNeighbors(
+    QueryOp op, size_t k, const std::vector<std::vector<Neighbor>>& parts);
 
 struct ServeResponse {
   int64_t id = 0;

@@ -1,35 +1,24 @@
 #include "warp/serve/server.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
-#include "warp/obs/exposition.h"
-#include "warp/obs/histogram.h"
 #include "warp/obs/json_writer.h"
-#include "warp/obs/report.h"
-#include "warp/common/metrics.h"
-#include "warp/common/stopwatch.h"
 #include "warp/serve/batcher.h"
-#include "warp/serve/net.h"
+#include "warp/serve/front_end.h"
 #include "warp/serve/protocol.h"
 #include "warp/serve/query_engine.h"
 #include "warp/serve/result_cache.h"
 #include "warp/serve/slowlog.h"
 #include "warp/serve/snapshot.h"
+#include "warp/serve/telemetry.h"
 #include "warp/ts/io.h"
 
 namespace warp {
 namespace serve {
 
 namespace {
-
-// How often the accept loop re-checks the shutdown flag.
-constexpr int kAcceptPollMs = 100;
 
 std::vector<size_t> BandsFromFractions(const std::vector<double>& fractions,
                                        size_t length) {
@@ -55,15 +44,42 @@ struct Server::Impl {
         engine(&store, options.cache_capacity > 0 ? &cache : nullptr,
                options.threads,
                options.slowlog_capacity > 0 ? &slowlog : nullptr),
-        batcher(&engine, options.max_queue_depth) {}
+        batcher(&engine, options.max_queue_depth),
+        front_end(FrontEndHandlers{
+            [this](std::vector<ServeRequest> queries,
+                   const std::vector<double>& parse_us,
+                   std::vector<std::string>* replies) {
+              HandleQueries(std::move(queries), parse_us, replies);
+            },
+            [this](const ParsedLine& parsed, const std::string& /*raw*/) {
+              return HandleControl(parsed);
+            }}) {}
 
-  struct Connection {
-    TcpConn conn;
-    std::thread thread;
-  };
-
-  void HandleConnection(Connection* connection);
+  void HandleQueries(std::vector<ServeRequest> queries,
+                     const std::vector<double>& parse_us,
+                     std::vector<std::string>* replies);
   std::string HandleControl(const ParsedLine& parsed);
+  Telemetry Snapshot() const;
+  std::string DatasetReply(const ParsedLine& parsed,
+                           const StoredDataset& snapshot) const {
+    return FormatDatasetReply(
+        parsed.id, parsed.control,
+        {snapshot.name, snapshot.size(), snapshot.uniform_length,
+         snapshot.epoch, snapshot.shard_count(),
+         {snapshot.bands.begin(), snapshot.bands.end()}},
+        front_end.port(), options.worker_shard);
+  }
+
+  // Registration shared by the load ops and the preload API: a UCR file
+  // indexed at `fractions` (empty = options.band_fractions), or a
+  // warp-snap-v1 file under `name` (empty = its stored name). Null and
+  // *error on failure, with the store unchanged.
+  std::shared_ptr<const StoredDataset> LoadUcr(
+      const std::string& name, const std::string& path,
+      const std::vector<double>& fractions, std::string* error);
+  std::shared_ptr<const StoredDataset> LoadSnap(const std::string& name,
+                                                const std::string& path,
+                                                std::string* error);
 
   ServerOptions options;
   DatasetStore store;
@@ -71,24 +87,85 @@ struct Server::Impl {
   SlowQueryLog slowlog;
   QueryEngine engine;
   Batcher batcher;
-  TcpListener listener;
-  std::atomic<bool> shutdown{false};
-
-  std::mutex conn_mutex;
-  std::vector<std::unique_ptr<Connection>> connections;
+  // Last: destroyed first, joining the connection threads that use every
+  // member above.
+  FrontEnd front_end;
 };
+
+void Server::Impl::HandleQueries(std::vector<ServeRequest> queries,
+                                 const std::vector<double>& parse_us,
+                                 std::vector<std::string>* replies) {
+  replies->resize(queries.size());
+  std::vector<ServeRequest> batch;
+  std::vector<size_t> slot;  // Parallel to `batch`.
+  batch.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const long stamped = queries[i].shard_filter;
+    if (options.worker_shard >= 0 && stamped != options.worker_shard) {
+      // Shard workers answer only sub-scans stamped for their own
+      // shard: a mis-routed (or unstamped) query would silently cover
+      // the wrong candidate set, so it is refused instead.
+      (*replies)[i] = FormatErrorLine(
+          queries[i].id,
+          "mis-routed sub-scan: this worker serves shard " +
+              std::to_string(options.worker_shard) + " of " +
+              std::to_string(options.shards) + ", request stamped " +
+              (stamped < 0 ? std::string("no shard")
+                           : "shard " + std::to_string(stamped)));
+      continue;
+    }
+    batch.push_back(std::move(queries[i]));
+    slot.push_back(i);
+  }
+  if (batch.empty()) return;
+  std::vector<ServeResponse> responses;
+  batcher.Execute(batch, &responses);
+  for (size_t j = 0; j < responses.size(); ++j) {
+    responses[j].trace.parse_us = parse_us[slot[j]];
+    (*replies)[slot[j]] = FormatResponse(responses[j]);
+  }
+}
+
+Telemetry Server::Impl::Snapshot() const {
+  // The process-wide registries, plus this server's own objects: the
+  // ResultCache instance is the single source of truth for its own
+  // behavior (the registry's serve_cache_* counters aggregate across
+  // every cache in the process).
+  Telemetry telemetry = SnapshotRegistries();
+  telemetry.cache = {cache.size(), cache.capacity(), cache.hits(),
+                     cache.misses(), cache.evictions()};
+  telemetry.slowlog_capacity = slowlog.capacity();
+  telemetry.slowlog_pending = slowlog.size();
+  telemetry.shards = store.shard_count();
+  telemetry.datasets = store.Names();
+  return telemetry;
+}
+
+std::shared_ptr<const StoredDataset> Server::Impl::LoadUcr(
+    const std::string& name, const std::string& path,
+    const std::vector<double>& fractions, std::string* error) {
+  Dataset dataset;
+  if (!LoadUcrFile(path, &dataset, error)) return nullptr;
+  const size_t length = dataset.UniformLength();
+  return store.Register(
+      name, std::move(dataset),
+      BandsFromFractions(
+          fractions.empty() ? options.band_fractions : fractions, length));
+}
+
+std::shared_ptr<const StoredDataset> Server::Impl::LoadSnap(
+    const std::string& name, const std::string& path, std::string* error) {
+  DatasetIndex index;
+  SnapshotMeta meta;
+  if (!LoadSnapshot(path, &index, &meta, error)) return nullptr;
+  return store.RegisterIndex(name.empty() ? meta.dataset : name,
+                             std::move(index));
+}
 
 std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
   switch (parsed.control) {
-    case ControlOp::kPing: {
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("ping")
-          .EndObject();
-      return writer.TakeOutput();
-    }
+    case ControlOp::kPing:
+      return FormatAckLine(parsed.id, "ping");
     case ControlOp::kInfo: {
       std::shared_ptr<const StoredDataset> snapshot =
           store.Get(parsed.dataset);
@@ -96,170 +173,27 @@ std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
         return FormatErrorLine(parsed.id,
                                "unknown dataset: '" + parsed.dataset + "'");
       }
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("info")
-          .Key("dataset").String(snapshot->name)
-          .Key("size").Uint(snapshot->size())
-          .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .Key("shards").Uint(snapshot->shard_count())
-          .Key("port").Int(listener.port());
-      if (options.worker_shard >= 0) {
-        writer.Key("worker_shard").Int(options.worker_shard);
-      }
-      writer.Key("bands").BeginArray();
-      for (size_t band : snapshot->bands) writer.Uint(band);
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
+      return DatasetReply(parsed, *snapshot);
     }
-    case ControlOp::kStats: {
-      // "counters" comes from the process-wide obs registry; "cache"
-      // comes from this server's ResultCache instance, which is the
-      // single source of truth for its own behavior (the registry's
-      // serve_cache_* counters aggregate across every cache in the
-      // process and stay available via `metrics` and --profile, so they
-      // are not duplicated here).
-      const obs::MetricsSnapshot counters = obs::SnapshotCounters();
-      const obs::HistogramSnapshot histograms = obs::SnapshotHistograms();
-      const obs::GaugeSnapshot gauges = obs::SnapshotGauges();
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("stats")
-          .Key("profiling").Bool(obs::kProfilingEnabled)
-          .Key("counters").BeginObject();
-      using obs::Counter;
-      for (Counter counter : {Counter::kServeRequests, Counter::kServeBatches,
-                              Counter::kServeBatchedQueries,
-                              Counter::kServeDeadlineExceeded,
-                              Counter::kServeShardScans,
-                              Counter::kServeSnapshotSaves,
-                              Counter::kServeSnapshotLoads,
-                              Counter::kServeShed,
-                              Counter::kClusterScatters,
-                              Counter::kClusterWorkerRestarts,
-                              Counter::kClusterPartialReplies}) {
-        writer.Key(obs::CounterName(counter)).Uint(counters.Get(counter));
-      }
-      writer.EndObject()
-          .Key("shards").BeginObject()
-          .Key("count").Uint(store.shard_count())
-          .EndObject()
-          .Key("cache").BeginObject()
-          .Key("size").Uint(cache.size())
-          .Key("capacity").Uint(cache.capacity())
-          .Key("hits").Uint(cache.hits())
-          .Key("misses").Uint(cache.misses())
-          .Key("evictions").Uint(cache.evictions())
-          .EndObject()
-          .Key("gauges").BeginObject();
-      for (size_t g = 0; g < obs::kNumGauges; ++g) {
-        const obs::Gauge gauge = static_cast<obs::Gauge>(g);
-        writer.Key(obs::GaugeName(gauge)).Int(gauges.Get(gauge));
-      }
-      writer.EndObject().Key("histograms").BeginObject();
-      for (size_t h = 0; h < obs::kNumHistograms; ++h) {
-        const obs::Histogram histogram = static_cast<obs::Histogram>(h);
-        const obs::HistogramData& data = histograms.Get(histogram);
-        if (data.Empty()) continue;  // Sparse, like bench counters.
-        writer.Key(obs::HistogramName(histogram));
-        obs::WriteHistogramObject(writer, data);
-      }
-      writer.EndObject()
-          .Key("slowlog").BeginObject()
-          .Key("capacity").Uint(slowlog.capacity())
-          .Key("pending").Uint(slowlog.size())
-          .EndObject()
-          .Key("datasets").BeginArray();
-      for (const std::string& name : store.Names()) writer.String(name);
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kMetrics: {
-      // The cache and slowlog readings ride along as "extras" — they
-      // belong to this server's objects, not to a global registry.
-      std::vector<obs::ExpositionExtra> extras;
-      extras.push_back({"serve_result_cache_size", false,
-                        static_cast<int64_t>(cache.size())});
-      extras.push_back({"serve_result_cache_capacity", false,
-                        static_cast<int64_t>(cache.capacity())});
-      extras.push_back({"serve_result_cache_hits", true,
-                        static_cast<int64_t>(cache.hits())});
-      extras.push_back({"serve_result_cache_misses", true,
-                        static_cast<int64_t>(cache.misses())});
-      extras.push_back({"serve_result_cache_evictions", true,
-                        static_cast<int64_t>(cache.evictions())});
-      extras.push_back({"serve_slowlog_pending", false,
-                        static_cast<int64_t>(slowlog.size())});
-      const std::string body = obs::RenderMetricsText(
-          obs::SnapshotCounters(), obs::SnapshotHistograms(),
-          obs::SnapshotGauges(), extras);
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("metrics")
-          .Key("format").String("warp-metrics-v1")
-          .Key("body").String(body)
-          .EndObject();
-      return writer.TakeOutput();
-    }
-    case ControlOp::kSlowlog: {
-      const std::vector<SlowQueryRecord> entries = slowlog.Drain();
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("slowlog")
-          .Key("capacity").Uint(slowlog.capacity())
-          .Key("entries").BeginArray();
-      for (const SlowQueryRecord& record : entries) {
-        writer.BeginObject()
-            .Key("id").Int(record.id)
-            .Key("op").String(record.op)
-            .Key("dataset").String(record.dataset)
-            .Key("measure").String(record.measure)
-            .Key("engine_us").Double(record.engine_us)
-            .Key("total_us").Double(record.total_us)
-            .Key("cells").Uint(record.cells)
-            .Key("scanned").Uint(record.scanned)
-            .Key("total").Uint(record.total)
-            .Key("partial").Bool(record.partial)
-            .EndObject();
-      }
-      writer.EndArray().EndObject();
-      return writer.TakeOutput();
-    }
+    case ControlOp::kStats:
+      return FormatStatsReply(parsed.id, Snapshot());
+    case ControlOp::kMetrics:
+      return FormatMetricsReply(parsed.id, Snapshot());
+    case ControlOp::kTelemetry:
+      return FormatTelemetryReply(parsed.id, Snapshot());
+    case ControlOp::kSlowlog:
+      return FormatSlowlogReply(parsed.id, slowlog.capacity(),
+                                slowlog.Drain());
     case ControlOp::kLoad: {
-      Dataset dataset;
       std::string error;
-      if (!LoadUcrFile(parsed.path, &dataset, &error)) {
+      std::shared_ptr<const StoredDataset> snapshot =
+          LoadUcr(parsed.dataset, parsed.path, parsed.band_fractions, &error);
+      if (snapshot == nullptr) {
         // The ts/io error (missing file, truncated row, non-finite value)
         // goes back to the client verbatim instead of killing the server.
         return FormatErrorLine(parsed.id, "load failed: " + error);
       }
-      const std::vector<double>& fractions = parsed.band_fractions.empty()
-                                                 ? options.band_fractions
-                                                 : parsed.band_fractions;
-      const size_t length = dataset.UniformLength();
-      std::shared_ptr<const StoredDataset> snapshot =
-          store.Register(parsed.dataset, std::move(dataset),
-                         BandsFromFractions(fractions, length));
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("load")
-          .Key("dataset").String(snapshot->name)
-          .Key("size").Uint(snapshot->size())
-          .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .EndObject();
-      return writer.TakeOutput();
+      return DatasetReply(parsed, *snapshot);
     }
     case ControlOp::kSaveSnapshot: {
       std::shared_ptr<const StoredDataset> snapshot =
@@ -286,146 +220,28 @@ std::string Server::Impl::HandleControl(const ParsedLine& parsed) {
       return writer.TakeOutput();
     }
     case ControlOp::kLoadSnapshot: {
-      DatasetIndex index;
-      SnapshotMeta meta;
       std::string error;
-      if (!LoadSnapshot(parsed.path, &index, &meta, &error)) {
+      std::shared_ptr<const StoredDataset> snapshot =
+          LoadSnap(parsed.dataset, parsed.path, &error);
+      if (snapshot == nullptr) {
         // Refuse-don't-guess: the snapshot layer's precise reason goes
         // back to the client; the store is untouched.
         return FormatErrorLine(parsed.id, "load_snapshot failed: " + error);
       }
-      const std::string name =
-          parsed.dataset.empty() ? meta.dataset : parsed.dataset;
-      std::shared_ptr<const StoredDataset> snapshot =
-          store.RegisterIndex(name, std::move(index));
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("load_snapshot")
-          .Key("dataset").String(snapshot->name)
-          .Key("size").Uint(snapshot->size())
-          .Key("length").Uint(snapshot->uniform_length)
-          .Key("epoch").Uint(snapshot->epoch)
-          .Key("shards").Uint(snapshot->shard_count())
-          .EndObject();
-      return writer.TakeOutput();
+      return DatasetReply(parsed, *snapshot);
     }
-    case ControlOp::kShutdown: {
-      obs::JsonWriter writer;
-      writer.BeginObject()
-          .Key("id").Int(parsed.id)
-          .Key("ok").Bool(true)
-          .Key("op").String("shutdown")
-          .EndObject();
-      return writer.TakeOutput();
-    }
+    case ControlOp::kShutdown:
+      return FormatAckLine(parsed.id, "shutdown");
     case ControlOp::kNone:
       break;
   }
   return FormatErrorLine(parsed.id, "internal: unhandled control op");
 }
 
-void Server::Impl::HandleConnection(Connection* connection) {
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, 1);
-  std::string first;
-  while (!shutdown.load(std::memory_order_relaxed) &&
-         connection->conn.ReadLine(&first)) {
-    // Drain everything the client has already pipelined: those lines form
-    // one batch, which is where the batcher's group commit pays off.
-    std::vector<std::string> lines;
-    lines.push_back(std::move(first));
-    while (connection->conn.HasBufferedLine()) {
-      std::string more;
-      if (!connection->conn.ReadLine(&more)) break;
-      lines.push_back(std::move(more));
-    }
-
-    // Lines take effect strictly in order: runs of consecutive queries
-    // form one engine batch, and a control op (stats, load, shutdown)
-    // flushes the pending batch first so it observes every query that
-    // preceded it on the wire.
-    std::vector<std::string> out(lines.size());
-    std::vector<ServeRequest> queries;
-    std::vector<size_t> query_slot;
-    std::vector<double> query_parse_us;  // Parallel to `queries`.
-    const auto flush_queries = [&] {
-      if (queries.empty()) return;
-      std::vector<ServeResponse> responses;
-      batcher.Execute(queries, &responses);
-      for (size_t j = 0; j < responses.size(); ++j) {
-        responses[j].trace.parse_us = query_parse_us[j];
-        out[query_slot[j]] = FormatResponse(responses[j]);
-      }
-      queries.clear();
-      query_slot.clear();
-      query_parse_us.clear();
-    };
-    bool want_shutdown = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].empty()) continue;  // Blank lines are keep-alives.
-      ParsedLine parsed;
-      std::string error;
-      const Stopwatch parse_watch;
-      const bool parsed_ok = ParseRequestLine(lines[i], &parsed, &error);
-      const double parse_us = parse_watch.ElapsedMicros();
-      WARP_HISTOGRAM_RECORD_US(obs::Histogram::kServeStageParse, parse_us);
-      if (!parsed_ok) {
-        out[i] = FormatErrorLine(parsed.id, error);
-      } else if (parsed.control == ControlOp::kNone &&
-                 options.worker_shard >= 0 &&
-                 parsed.request.shard_filter != options.worker_shard) {
-        // Shard workers answer only sub-scans stamped for their own
-        // shard: a mis-routed (or unstamped) query would silently cover
-        // the wrong candidate set, so it is refused instead.
-        out[i] = FormatErrorLine(
-            parsed.id,
-            "mis-routed sub-scan: this worker serves shard " +
-                std::to_string(options.worker_shard) + " of " +
-                std::to_string(options.shards) + ", request stamped " +
-                (parsed.request.shard_filter < 0
-                     ? std::string("no shard")
-                     : "shard " +
-                           std::to_string(parsed.request.shard_filter)));
-      } else if (parsed.control == ControlOp::kNone) {
-        queries.push_back(std::move(parsed.request));
-        query_slot.push_back(i);
-        query_parse_us.push_back(parse_us);
-      } else {
-        flush_queries();
-        out[i] = HandleControl(parsed);
-        if (parsed.control == ControlOp::kShutdown) want_shutdown = true;
-      }
-    }
-    flush_queries();
-
-    std::string payload;
-    for (const std::string& response : out) {
-      if (response.empty()) continue;
-      payload += response;
-      payload += '\n';
-    }
-    if (!payload.empty() && !connection->conn.WriteAll(payload)) break;
-    if (want_shutdown) {
-      shutdown.store(true, std::memory_order_relaxed);
-      break;
-    }
-  }
-  connection->conn.ShutdownBoth();
-  WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, -1);
-}
-
 Server::Server(ServerOptions options)
     : impl_(std::make_unique<Impl>(std::move(options))) {}
 
-Server::~Server() {
-  RequestShutdown();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-}
+Server::~Server() = default;
 
 void Server::RegisterDataset(const std::string& name, Dataset dataset) {
   const size_t length = dataset.UniformLength();
@@ -437,25 +253,12 @@ void Server::RegisterDataset(const std::string& name, Dataset dataset) {
 bool Server::LoadDataset(const std::string& name, const std::string& path,
                          const std::vector<double>& band_fractions,
                          std::string* error) {
-  Dataset dataset;
-  if (!LoadUcrFile(path, &dataset, error)) return false;
-  const std::vector<double>& fractions = band_fractions.empty()
-                                             ? impl_->options.band_fractions
-                                             : band_fractions;
-  const size_t length = dataset.UniformLength();
-  impl_->store.Register(name, std::move(dataset),
-                        BandsFromFractions(fractions, length));
-  return true;
+  return impl_->LoadUcr(name, path, band_fractions, error) != nullptr;
 }
 
 bool Server::LoadSnapshotFile(const std::string& name,
                               const std::string& path, std::string* error) {
-  DatasetIndex index;
-  SnapshotMeta meta;
-  if (!LoadSnapshot(path, &index, &meta, error)) return false;
-  impl_->store.RegisterIndex(name.empty() ? meta.dataset : name,
-                             std::move(index));
-  return true;
+  return impl_->LoadSnap(name, path, error) != nullptr;
 }
 
 bool Server::LoadSnapshotDir(const std::string& dir, std::string* error) {
@@ -468,57 +271,20 @@ bool Server::LoadSnapshotDir(const std::string& dir, std::string* error) {
 }
 
 bool Server::Start(std::string* error) {
-  return impl_->listener.Listen(impl_->options.port, error);
+  return impl_->front_end.Start(impl_->options.port, error);
 }
 
-int Server::port() const { return impl_->listener.port(); }
+int Server::port() const { return impl_->front_end.port(); }
 
-void Server::Serve() {
-  while (!impl_->shutdown.load(std::memory_order_relaxed)) {
-    bool timed_out = false;
-    TcpConn conn = impl_->listener.AcceptWithTimeout(kAcceptPollMs, &timed_out);
-    if (!conn.valid()) {
-      if (timed_out) continue;
-      break;  // Listener closed or failed.
-    }
-    auto connection = std::make_unique<Impl::Connection>();
-    connection->conn = std::move(conn);
-    Impl::Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] {
-      impl_->HandleConnection(raw);
-    });
-    std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-    impl_->connections.push_back(std::move(connection));
-  }
+void Server::Serve() { impl_->front_end.Serve(); }
 
-  impl_->listener.Close();
-  std::lock_guard<std::mutex> lock(impl_->conn_mutex);
-  for (std::unique_ptr<Impl::Connection>& connection : impl_->connections) {
-    connection->conn.ShutdownBoth();
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  impl_->connections.clear();
-}
-
-void Server::RequestShutdown() {
-  impl_->shutdown.store(true, std::memory_order_relaxed);
-}
+void Server::RequestShutdown() { impl_->front_end.RequestShutdown(); }
 
 const DatasetStore& Server::store() const { return impl_->store; }
 
 int RunServer(Server* server) {
-  std::string error;
-  if (!server->Start(&error)) {
-    std::fprintf(stderr, "warp_serve: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("warp_serve listening on 127.0.0.1:%d\n", server->port());
-  // Machine-scrapable readiness line: harnesses and the cluster
-  // supervisor parse this exact shape to learn a --port=0 binding.
-  std::printf("ready port=%d\n", server->port());
-  std::fflush(stdout);
-  server->Serve();
-  return 0;
+  return server->impl_->front_end.Run("warp_serve",
+                                      server->impl_->options.port);
 }
 
 }  // namespace serve

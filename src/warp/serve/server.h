@@ -2,15 +2,12 @@
 //
 // Composition of the serve subsystem: a DatasetStore (shared, read-only
 // snapshots), a ResultCache, a QueryEngine on a ThreadPool, and a Batcher
-// that group-commits concurrent connections into shared engine batches.
-// One thread per connection reads line-delimited JSON requests; lines
-// that are already buffered when a response would be written are drained
-// first and answered as one batch (pipelining IS batching). Control ops
-// (ping / info / stats / metrics / slowlog / load / shutdown) are
-// answered inline by the server without entering the engine.
-//
-// All socket work goes through warp/serve/net.h; this file never issues
-// a raw socket syscall.
+// that group-commits concurrent connections into shared engine batches,
+// behind the shared FrontEnd (warp/serve/front_end.h: one thread per
+// connection, pipelined lines answered as one batch, strict in-order
+// control ops). Control ops (ping / info / stats / metrics / telemetry /
+// slowlog / load / shutdown) are answered inline without entering the
+// engine; the telemetry documents come from warp/serve/telemetry.h.
 
 #ifndef WARP_SERVE_SERVER_H_
 #define WARP_SERVE_SERVER_H_
@@ -98,6 +95,8 @@ class Server {
   const DatasetStore& store() const;
 
  private:
+  friend int RunServer(Server* server);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -38,6 +38,40 @@ std::string JsonValue::StringOr(const std::string& key,
   return v != nullptr && v->is_string() ? v->AsString() : fallback;
 }
 
+// Sign and magnitude of an integral number of magnitude below 2^64.
+bool JsonValue::AsInteger(bool* negative, uint64_t* magnitude) const {
+  if (kind_ != Kind::kNumber) return false;
+  if (exact_) {
+    *negative = negative_ && magnitude_ != 0;
+    *magnitude = magnitude_;
+    return true;
+  }
+  const double m = std::fabs(number_);
+  if (!(m < 0x1p64) || std::floor(m) != m) return false;
+  *negative = number_ < 0.0;
+  *magnitude = static_cast<uint64_t>(m);
+  return true;
+}
+
+bool JsonValue::AsInt64(int64_t* out) const {
+  bool negative = false;
+  uint64_t m = 0;
+  if (!AsInteger(&negative, &m) || m > (uint64_t{1} << 63) - !negative) {
+    return false;
+  }
+  // Two's-complement negation in uint64: exact even for INT64_MIN.
+  *out = static_cast<int64_t>(negative ? ~m + 1 : m);
+  return true;
+}
+
+bool JsonValue::AsUint64(uint64_t* out) const {
+  bool negative = false;
+  uint64_t m = 0;
+  if (!AsInteger(&negative, &m) || negative) return false;
+  *out = m;
+  return true;
+}
+
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -134,6 +168,7 @@ class JsonParser {
     if (text_[int_start] == '0' && end - int_start > 1) {
       return Fail("malformed number (leading zero)");
     }
+    const size_t int_end = end;
     if (end < text_.size() && text_[end] == '.') {
       ++end;
       const size_t frac_start = end;
@@ -161,6 +196,17 @@ class JsonParser {
     }
     value->kind_ = JsonValue::Kind::kNumber;
     value->number_ = parsed;
+    // An integer literal also keeps its exact value when it fits 64 bits.
+    uint64_t magnitude = 0;
+    bool fits = end == int_end;
+    for (size_t i = int_start; i < int_end && fits; ++i) {
+      const uint64_t digit = static_cast<uint64_t>(text_[i] - '0');
+      fits = magnitude <= (~uint64_t{0} - digit) / 10;
+      magnitude = magnitude * 10 + digit;
+    }
+    value->exact_ = fits;
+    value->negative_ = text_[pos_] == '-';
+    value->magnitude_ = magnitude;
     pos_ = end;
     return true;
   }

@@ -4,6 +4,7 @@
 
 #include "warp/serve/protocol.h"
 
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,67 @@ TEST(ProtocolTest, RejectsBadQueryFields) {
   EXPECT_FALSE(ParseRequestLine(
       R"({"op": "load", "dataset": "d", "path": "p", "bands": [-0.1]})",
       &parsed, &error));
+
+  // Integer fields out of range for their type are errors, never silent
+  // casts (1e300 must not read as index 0, band -2^63, or "no shard").
+  EXPECT_FALSE(ParseRequestLine(R"({"id": 1e300, "op": "ping"})", &parsed,
+                                &error));
+  EXPECT_NE(error.find("'id'"), std::string::npos) << error;
+  for (const std::string field :
+       {R"("id": 1.5)", R"("id": 9223372036854775808)", R"("index": 1e300)",
+        R"("index": -1)", R"("k": 18446744073709551616)",
+        R"("radius": 2.5)", R"("band": 1e300)", R"("band": 0.5)",
+        R"("shard": 1e300)", R"("shard": -1)", R"("shard_epoch": -1)",
+        R"("shard_epoch": 1e20)", R"("k": "3")"}) {
+    EXPECT_FALSE(ParseRequestLine(
+        R"({"op": "dist", "dataset": "d", "query": [1.0], )" + field + "}",
+        &parsed, &error))
+        << field;
+  }
+}
+
+TEST(ProtocolTest, IntegerFieldsAreExactTo64Bits) {
+  ParsedLine parsed;
+  std::string error;
+  ASSERT_TRUE(ParseRequestLine(
+      R"({"id": -9223372036854775808, "op": "dist", "dataset": "d",)"
+      R"( "index": 1e3, "shard": 2.0, "shard_epoch": 18446744073709551615,)"
+      R"( "query": [1.0]})",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.id, INT64_MIN);
+  EXPECT_EQ(parsed.request.index, 1000u);
+  EXPECT_EQ(parsed.request.shard_filter, 2);
+  EXPECT_EQ(parsed.request.require_epoch, UINT64_MAX);
+}
+
+// The response-side twin: worker replies the router gathers go through
+// the same checked reader, so a corrupt reply is an error (the router
+// then counts that shard as missing) instead of a wrapped index.
+TEST(ProtocolTest, RejectsBadResponseFields) {
+  ServeResponse response;
+  std::string error;
+  const std::string head =
+      R"({"id": 1, "ok": true, "op": "knn", "partial": false,)";
+  ASSERT_TRUE(ParseResponseLine(
+      head + R"( "scanned": 1, "total": 1, "neighbors":)"
+             R"( [{"index": 3, "label": -2, "distance": 0.5}]})",
+      &response, &error))
+      << error;
+  EXPECT_EQ(response.neighbors[0].index, 3u);
+  EXPECT_EQ(response.neighbors[0].label, -2);
+  for (const std::string tail :
+       {R"( "neighbors": [{"index": -1, "label": 0, "distance": 1}]})",
+        R"( "neighbors": [{"index": 1e300, "label": 0, "distance": 1}]})",
+        R"( "neighbors": [{"index": 1, "label": 3e9, "distance": 1}]})",
+        R"( "neighbors": [{"index": 1, "label": 0.5, "distance": 1}]})",
+        R"( "scanned": 1e300})", R"( "total": -4})", R"( "position": 2.5})",
+        R"( "shards_missing": [1.5]})", R"( "shards_missing": [-1]})"}) {
+    ServeResponse bad;
+    EXPECT_FALSE(ParseResponseLine(head + tail, &bad, &error)) << tail;
+  }
+  EXPECT_FALSE(ParseResponseLine(R"({"id": 1e300, "ok": false})", &response,
+                                 &error));
 }
 
 // The property the result cache and loopback golden tests rely on:

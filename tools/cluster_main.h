@@ -54,15 +54,8 @@ inline int ClusterToolMain(const ToolFlags& flags,
   sup.worker_binary = default_worker_binary;
   for (const auto& [key, value] : flags) {
     if (key == "shards") {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || n <= 0) {
-        std::fprintf(stderr,
-                     "warp_cluster: invalid --shards=%s (expected a positive "
-                     "integer)\n",
-                     value.c_str());
-        return 2;
-      }
+      long n = 0;
+      if (!ParseCountFlag("warp_cluster", key, value, 1, &n)) return 2;
       sup.shards = static_cast<size_t>(n);
     } else if (key == "snapshot-dir") {
       sup.snapshot_dir = value;

@@ -62,6 +62,23 @@ inline ToolFlags ParseToolFlags(int argc, char** argv, int start) {
   return flags;
 }
 
+// A whole-string integer flag value of at least `min` (0 or 1). Anything
+// else is a misconfiguration the operator must see: it prints
+// "<tool>: invalid --<key>=<value> (...)" and returns false (exit 2).
+inline bool ParseCountFlag(const char* tool, const std::string& key,
+                           const std::string& value, long min, long* out) {
+  char* end = nullptr;
+  const long n = std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || end == nullptr || *end != '\0' || n < min) {
+    std::fprintf(stderr, "%s: invalid --%s=%s (expected a %s integer)\n",
+                 tool, key.c_str(), value.c_str(),
+                 min > 0 ? "positive" : "non-negative");
+    return false;
+  }
+  *out = n;
+  return true;
+}
+
 inline std::vector<double> ParseFractionList(const std::string& text) {
   std::vector<double> fractions;
   size_t start = 0;
@@ -90,19 +107,11 @@ inline int ServeToolMain(const ToolFlags& flags) {
     } else if (key == "threads") {
       const long n = std::strtol(value.c_str(), nullptr, 10);
       options.threads = n < 0 ? 0 : static_cast<size_t>(n);
-    } else if (key == "shards") {
+    } else if (key == "shards" || key == "shard-count") {
       // Shard count shapes the store's partition; a typo silently
-      // coerced to 1 would be a misconfiguration the operator never
-      // sees, so validation failures exit 2 like any invalid flag.
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || n <= 0) {
-        std::fprintf(stderr,
-                     "warp_serve: invalid --shards=%s (expected a positive "
-                     "integer)\n",
-                     value.c_str());
-        return 2;
-      }
+      // coerced to 1 would be a misconfiguration the operator never sees.
+      long n = 0;
+      if (!ParseCountFlag("warp_serve", key, value, 1, &n)) return 2;
       options.shards = static_cast<size_t>(n);
     } else if (key == "cache") {
       const long n = std::strtol(value.c_str(), nullptr, 10);
@@ -113,27 +122,9 @@ inline int ServeToolMain(const ToolFlags& flags) {
     } else if (key == "worker") {
       worker_mode = true;
     } else if (key == "shard-id") {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || n < 0) {
-        std::fprintf(stderr,
-                     "warp_serve: invalid --shard-id=%s (expected a "
-                     "non-negative integer)\n",
-                     value.c_str());
+      if (!ParseCountFlag("warp_serve", key, value, 0, &worker_shard_id)) {
         return 2;
       }
-      worker_shard_id = n;
-    } else if (key == "shard-count") {
-      char* end = nullptr;
-      const long n = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || n <= 0) {
-        std::fprintf(stderr,
-                     "warp_serve: invalid --shard-count=%s (expected a "
-                     "positive integer)\n",
-                     value.c_str());
-        return 2;
-      }
-      options.shards = static_cast<size_t>(n);
     } else if (key == "bands") {
       options.band_fractions = ParseFractionList(value);
     } else if (key == "data") {
