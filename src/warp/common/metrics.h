@@ -77,7 +77,7 @@ namespace obs {
   X(kLbKeoghCalls, "lb_keogh_calls")                      \
   X(kLbKeoghKills, "lb_keogh_kills")                      \
   X(kLbImprovedCalls, "lb_improved_calls")                \
-  /* 1-NN / search / monitor pruning cascades. */         \
+  /* The pruning cascade (core/cascade.h). */             \
   X(kCascadeCandidates, "cascade_candidates")             \
   X(kCascadeEarlyAbandons, "cascade_early_abandons")      \
   X(kCascadeFullDtw, "cascade_full_dtw")                  \

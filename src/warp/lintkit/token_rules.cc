@@ -114,6 +114,32 @@ void DpEngineRule(const LexedFile& file, std::vector<Finding>* findings) {
   }
 }
 
+// --- cascade-containment ----------------------------------------------------
+// The pruning cascade's five counters are bumped in one place,
+// warp/core/cascade.*, which keeps candidates equal to the sum of the four
+// outcomes for every caller; the registry declares them.
+void CascadeRule(const LexedFile& file, std::vector<Finding>* findings) {
+  if (!StartsWith(file.path, "src/")) return;
+  if (StartsWith(file.path, "src/warp/core/cascade.") ||
+      file.path == "src/warp/common/metrics.h") {
+    return;
+  }
+  static constexpr std::string_view kCounters[] = {
+      "kCascadeCandidates", "kLbKimKills", "kLbKeoghKills",
+      "kCascadeEarlyAbandons", "kCascadeFullDtw"};
+  for (const Token& token : file.tokens) {
+    if (token.kind != TokenKind::kIdentifier) continue;
+    for (const std::string_view counter : kCounters) {
+      if (token.text == counter) {
+        Add(findings, "cascade-containment", file, token.line, token.col,
+            "cascade counter " + token.text +
+                " outside src/warp/core/cascade.* — run the candidate "
+                "through warp::Cascade (warp/core/cascade.h)");
+      }
+    }
+  }
+}
+
 // --- socket-containment -----------------------------------------------------
 // The serve subsystem's entire syscall surface lives behind TcpConn /
 // TcpListener (warp/serve/net.h): loopback-only binding, line-size cap,
@@ -276,6 +302,9 @@ const std::vector<TokenRule> kTokenRules = {
     {"dp-engine-only",
      "no hand-rolled two-row DP loops in src/warp/core/",
      DpEngineRule},
+    {"cascade-containment",
+     "cascade counters only in src/warp/core/cascade.* and the registry",
+     CascadeRule},
     {"socket-containment",
      "socket syscalls and headers only in src/warp/serve/net.*",
      SocketRule},

@@ -12,10 +12,6 @@
 #include "warp/common/parallel.h"
 #include "warp/common/stopwatch.h"
 #include "warp/core/dtw.h"
-#include "warp/core/lower_bounds.h"
-#include "warp/common/metrics.h"
-#include "warp/simd/batch.h"
-#include "warp/simd/dispatch.h"
 
 namespace warp {
 
@@ -214,27 +210,6 @@ AcceleratedNnClassifier::AcceleratedNnClassifier(const Dataset& train,
   }
 }
 
-namespace {
-
-// Lane-parallel LB_Kim over every candidate. The values do not depend on
-// the running best-so-far, so hoisting them out of the scan changes no
-// prune decision; LbKimFl's 1x1 special case keeps length-1 sets on the
-// scalar call. Returns true when the cache was filled.
-bool BatchKimBounds(std::span<const double> query, size_t length,
-                    const std::vector<double>& heads,
-                    const std::vector<double>& tails, CostKind cost,
-                    std::vector<double>* cache) {
-  if (!simd::SimdActive() || length < 2) return false;
-  cache->resize(heads.size());
-  WithCost(cost, [&](auto c) {
-    simd::LbKimBatch<decltype(c)>(query.front(), query.back(), heads.data(),
-                                  tails.data(), heads.size(), cache->data());
-  });
-  return true;
-}
-
-}  // namespace
-
 Prediction AcceleratedNnClassifier::Classify(
     std::span<const double> query, ClassificationStats* stats) const {
   // Thread-local so repeated queries from one thread hit warm scratch rows
@@ -246,119 +221,36 @@ Prediction AcceleratedNnClassifier::Classify(
 Prediction AcceleratedNnClassifier::Classify(
     std::span<const double> query, ClassificationStats* stats,
     DtwWorkspace* buffer) const {
-  WARP_CHECK_MSG(query.size() == length_,
-                 "query length must match the training set");
-  const Envelope query_envelope = ComputeEnvelope(query, band_);
-  std::vector<double> kim_cache;
-  const bool batched_kim =
-      BatchKimBounds(query, length_, heads_, tails_, cost_, &kim_cache);
-
-  Prediction best;
-  best.distance = kInf;
-  for (size_t i = 0; i < train_.size(); ++i) {
-    if (stats != nullptr) ++stats->candidates;
-    WARP_COUNT(obs::Counter::kCascadeCandidates);
-    const std::span<const double> candidate = train_[i].view();
-
-    // Rung 1: constant-time LB_Kim (batched per block when SIMD is on;
-    // the per-candidate call counter is kept either way).
-    double kim;
-    if (batched_kim) {
-      WARP_COUNT(obs::Counter::kLbKimCalls);
-      kim = kim_cache[i];
-    } else {
-      kim = LbKimFl(query, candidate, cost_);
-    }
-    if (kim >= best.distance) {
-      if (stats != nullptr) ++stats->pruned_by_kim;
-      WARP_COUNT(obs::Counter::kLbKimKills);
-      continue;
-    }
-    // Rung 2: LB_Keogh with the query envelope, early-abandoning at the
-    // best-so-far, then the (tighter on some pairs) reversed direction.
-    if (LbKeogh(query_envelope, candidate, cost_, best.distance) >=
-            best.distance ||
-        LbKeogh(train_envelopes_[i], query, cost_, best.distance) >=
-            best.distance) {
-      if (stats != nullptr) ++stats->pruned_by_keogh;
-      WARP_COUNT(obs::Counter::kLbKeoghKills);
-      continue;
-    }
-    // Rung 3: exact cDTW with early abandoning.
-    const double d = CdtwDistanceAbandoning(query, candidate, band_,
-                                            best.distance, cost_, buffer);
-    if (stats != nullptr) {
-      if (d == kInf) {
-        ++stats->abandoned_dtw;
-      } else {
-        ++stats->full_dtw;
-      }
-    }
-    if (d == kInf) {
-      WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
-    } else {
-      WARP_COUNT(obs::Counter::kCascadeFullDtw);
-    }
-    if (d < best.distance) {
-      best.distance = d;
-      best.nn_index = i;
-      best.label = train_[i].label();
-    }
-  }
-  return best;
+  return Nearest(query, 1, stats, buffer);
 }
 
 Prediction AcceleratedNnClassifier::ClassifyKnn(
     std::span<const double> query, size_t k,
     ClassificationStats* stats) const {
+  WARP_CHECK(k >= 1 && k <= train_.size());
+  static thread_local DtwWorkspace workspace;
+  return Nearest(query, k, stats, &workspace);
+}
+
+Prediction AcceleratedNnClassifier::Nearest(std::span<const double> query,
+                                            size_t k,
+                                            ClassificationStats* stats,
+                                            DtwWorkspace* buffer) const {
   WARP_CHECK_MSG(query.size() == length_,
                  "query length must match the training set");
-  WARP_CHECK(k >= 1 && k <= train_.size());
-  const Envelope query_envelope = ComputeEnvelope(query, band_);
-  std::vector<double> kim_cache;
-  const bool batched_kim =
-      BatchKimBounds(query, length_, heads_, tails_, cost_, &kim_cache);
+  const Cascade cascade(query, band_, cost_, stats);
+  std::vector<double> kims(train_.size());
+  cascade.KimBlock(heads_.data(), tails_.data(), kims.size(), kims.data());
+  if (stats != nullptr) stats->candidates += train_.size();
 
+  // The k-th best so far bounds the cascade; KBest keeps the first of
+  // equal distances, as a serial brute-force scan does.
   KBest kbest(k);
-  static thread_local DtwWorkspace buffer;
   for (size_t i = 0; i < train_.size(); ++i) {
-    if (stats != nullptr) ++stats->candidates;
-    WARP_COUNT(obs::Counter::kCascadeCandidates);
-    const std::span<const double> candidate = train_[i].view();
     const double threshold = kbest.PruneThreshold();
-
-    double kim;
-    if (batched_kim) {
-      WARP_COUNT(obs::Counter::kLbKimCalls);
-      kim = kim_cache[i];
-    } else {
-      kim = LbKimFl(query, candidate, cost_);
-    }
-    if (kim >= threshold) {
-      if (stats != nullptr) ++stats->pruned_by_kim;
-      WARP_COUNT(obs::Counter::kLbKimKills);
-      continue;
-    }
-    if (LbKeogh(query_envelope, candidate, cost_, threshold) >= threshold ||
-        LbKeogh(train_envelopes_[i], query, cost_, threshold) >= threshold) {
-      if (stats != nullptr) ++stats->pruned_by_keogh;
-      WARP_COUNT(obs::Counter::kLbKeoghKills);
-      continue;
-    }
-    const double d = CdtwDistanceAbandoning(query, candidate, band_,
-                                            threshold, cost_, &buffer);
-    if (stats != nullptr) {
-      if (d == kInf) {
-        ++stats->abandoned_dtw;
-      } else {
-        ++stats->full_dtw;
-      }
-    }
-    if (d == kInf) {
-      WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
-    } else {
-      WARP_COUNT(obs::Counter::kCascadeFullDtw);
-    }
+    if (cascade.KilledByKim(kims[i], threshold)) continue;
+    const double d = cascade.Distance(train_[i].view(), threshold, buffer,
+                                      &train_envelopes_[i]);
     if (d < kInf) kbest.Offer(d, i);
   }
   return VoteFromKBest(train_, kbest);

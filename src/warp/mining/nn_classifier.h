@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "warp/common/cost.h"
+#include "warp/core/cascade.h"
 #include "warp/core/distance_matrix.h"
 #include "warp/core/envelope.h"
 #include "warp/ts/dataset.h"
@@ -35,18 +36,14 @@ struct Prediction {
   double distance = 0.0;
 };
 
-struct ClassificationStats {
+// The CascadeCounts fields are filled by the accelerated engine only.
+struct ClassificationStats : CascadeCounts {
   size_t total = 0;
   size_t correct = 0;
   double accuracy = 0.0;
   double error_rate = 0.0;
   double seconds = 0.0;
-  // Accelerated engine only: how far each candidate got in the cascade.
   uint64_t candidates = 0;
-  uint64_t pruned_by_kim = 0;
-  uint64_t pruned_by_keogh = 0;
-  uint64_t abandoned_dtw = 0;
-  uint64_t full_dtw = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -124,6 +121,11 @@ class AcceleratedNnClassifier {
   size_t band() const { return band_; }
 
  private:
+  // The exact k nearest through the cascade, pruned against the k-th
+  // best distance so far; k = 1 is Classify.
+  Prediction Nearest(std::span<const double> query, size_t k,
+                     ClassificationStats* stats,
+                     DtwWorkspace* workspace) const;
 
   Dataset train_;
   size_t band_;
@@ -131,8 +133,7 @@ class AcceleratedNnClassifier {
   size_t length_;
   std::vector<Envelope> train_envelopes_;
   // Contiguous first/last elements of every training series, so the
-  // cascade's LB_Kim rung can be evaluated for whole candidate blocks in
-  // vector lanes (warp/simd/batch.h).
+  // cascade's LB_Kim rung runs over the whole set in one KimBlock.
   std::vector<double> heads_;
   std::vector<double> tails_;
 };

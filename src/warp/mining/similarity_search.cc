@@ -6,9 +6,6 @@
 #include "warp/common/assert.h"
 #include "warp/common/stopwatch.h"
 #include "warp/core/dtw.h"
-#include "warp/core/envelope.h"
-#include "warp/core/lower_bounds.h"
-#include "warp/common/metrics.h"
 #include "warp/ts/znorm.h"
 
 namespace warp {
@@ -45,7 +42,7 @@ SubsequenceMatch FindBestMatch(std::span<const double> haystack,
   const size_t num_windows = haystack.size() - m + 1;
 
   const std::vector<double> q = ZNormalized(query);
-  const Envelope q_envelope = ComputeEnvelope(q, band);
+  const Cascade cascade(q, band, cost, stats);
 
   // Running sums over the sliding window for O(1) mean/stddev per step.
   RunningMeanStd running(m);
@@ -62,54 +59,28 @@ SubsequenceMatch FindBestMatch(std::span<const double> haystack,
       running.Pop(haystack[pos - 1]);
       running.Push(haystack[pos + m - 1]);
     }
-    if (stats != nullptr) ++stats->windows;
-    WARP_COUNT(obs::Counter::kCascadeCandidates);
     const double mean = running.mean();
     const double stddev = running.stddev();
     const double inv = stddev > 1e-12 ? 1.0 / stddev : 0.0;
 
-    // Rung 1: LB_Kim on the normalized endpoints, O(1) — the window's
-    // first/last values are normalized on the fly.
+    // LB_Kim on the window's endpoints, normalized on the fly, before the
+    // whole window is.
     const double first = (haystack[pos] - mean) * inv;
     const double last = (haystack[pos + m - 1] - mean) * inv;
-    const double kim = WithCost(cost, [&](auto c) {
-      return c(q.front(), first) + c(q.back(), last);
-    });
-    if (kim >= best.distance) {
-      if (stats != nullptr) ++stats->pruned_by_kim;
-      WARP_COUNT(obs::Counter::kLbKimKills);
+    if (cascade.KilledByKim(cascade.Kim(first, last), best.distance)) {
       continue;
     }
-
-    // Rung 2: LB_Keogh against the query envelope, early-abandoning.
     NormalizeWindow(haystack, pos, m, mean, stddev, &window);
-    if (LbKeogh(q_envelope, window, cost, best.distance) >= best.distance) {
-      if (stats != nullptr) ++stats->pruned_by_keogh;
-      WARP_COUNT(obs::Counter::kLbKeoghKills);
-      continue;
-    }
-
-    // Rung 3: exact early-abandoning cDTW.
-    const double d =
-        CdtwDistanceAbandoning(q, window, band, best.distance, cost, &buffer);
-    if (stats != nullptr) {
-      if (d == kInf) {
-        ++stats->abandoned_dtw;
-      } else {
-        ++stats->full_dtw;
-      }
-    }
-    if (d == kInf) {
-      WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
-    } else {
-      WARP_COUNT(obs::Counter::kCascadeFullDtw);
-    }
+    const double d = cascade.Distance(window, best.distance, &buffer);
     if (d < best.distance) {
       best.distance = d;
       best.position = pos;
     }
   }
-  if (stats != nullptr) stats->seconds = watch.ElapsedSeconds();
+  if (stats != nullptr) {
+    stats->windows += num_windows;
+    stats->seconds = watch.ElapsedSeconds();
+  }
   return best;
 }
 
@@ -133,8 +104,6 @@ SubsequenceMatch FindBestMatchNaive(std::span<const double> haystack,
       ++stats->windows;
       ++stats->full_dtw;
     }
-    WARP_COUNT(obs::Counter::kCascadeCandidates);
-    WARP_COUNT(obs::Counter::kCascadeFullDtw);
     window.assign(haystack.begin() + pos, haystack.begin() + pos + m);
     ZNormalizeInPlace(window);
     const double d = CdtwDistance(q, window, band, cost, &buffer);

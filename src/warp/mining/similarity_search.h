@@ -15,6 +15,7 @@
 #include <span>
 
 #include "warp/common/cost.h"
+#include "warp/core/cascade.h"
 
 namespace warp {
 
@@ -23,12 +24,8 @@ struct SubsequenceMatch {
   double distance = 0.0; // cDTW distance on the z-normalized window.
 };
 
-struct SearchStats {
+struct SearchStats : CascadeCounts {
   uint64_t windows = 0;
-  uint64_t pruned_by_kim = 0;
-  uint64_t pruned_by_keogh = 0;
-  uint64_t abandoned_dtw = 0;
-  uint64_t full_dtw = 0;
   double seconds = 0.0;
 };
 

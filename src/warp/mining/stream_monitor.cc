@@ -1,23 +1,16 @@
 #include "warp/mining/stream_monitor.h"
 
-#include <limits>
-
 #include "warp/common/assert.h"
-#include "warp/core/lower_bounds.h"
-#include "warp/common/metrics.h"
 
 namespace warp {
 
 StreamMonitor::StreamMonitor(std::vector<double> query, size_t band,
                              double threshold, CostKind cost)
     : query_(ZNormalized(query)),
-      query_envelope_(ComputeEnvelope(query_, band)),
-      band_(band),
       threshold_(threshold),
-      cost_(cost),
+      cascade_(query_, band, cost, &stats_),
       ring_(query_.size(), 0.0),
       running_(query_.size()) {
-  WARP_CHECK(!query_.empty());
   WARP_CHECK(threshold >= 0.0);
   window_.resize(query_.size());
 }
@@ -33,7 +26,6 @@ std::optional<StreamMonitor::Event> StreamMonitor::Push(double value) {
   if (stats_.samples < m) return std::nullopt;
 
   ++stats_.windows_checked;
-  WARP_COUNT(obs::Counter::kCascadeCandidates);
   const double mean = running_.mean();
   const double stddev = running_.stddev();
   const double inv = stddev > 1e-12 ? 1.0 / stddev : 0.0;
@@ -43,12 +35,7 @@ std::optional<StreamMonitor::Event> StreamMonitor::Push(double value) {
   const double first = (ring_[ring_head_] - mean) * inv;
   const double last =
       (ring_[(ring_head_ + m - 1) % m] - mean) * inv;
-  const double kim = WithCost(cost_, [&](auto c) {
-    return c(query_.front(), first) + c(query_.back(), last);
-  });
-  if (kim > threshold_) {
-    ++stats_.pruned_by_kim;
-    WARP_COUNT(obs::Counter::kLbKimKills);
+  if (cascade_.KilledByKim(cascade_.Kim(first, last), threshold_)) {
     return std::nullopt;
   }
 
@@ -56,21 +43,7 @@ std::optional<StreamMonitor::Event> StreamMonitor::Push(double value) {
   for (size_t k = 0; k < m; ++k) {
     window_[k] = (ring_[(ring_head_ + k) % m] - mean) * inv;
   }
-  if (LbKeogh(query_envelope_, window_, cost_, threshold_) > threshold_) {
-    ++stats_.pruned_by_keogh;
-    WARP_COUNT(obs::Counter::kLbKeoghKills);
-    return std::nullopt;
-  }
-
-  const double d = CdtwDistanceAbandoning(query_, window_, band_, threshold_,
-                                          cost_, &buffer_);
-  if (d == std::numeric_limits<double>::infinity()) {
-    ++stats_.abandoned_dtw;
-    WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
-    return std::nullopt;
-  }
-  ++stats_.full_dtw;
-  WARP_COUNT(obs::Counter::kCascadeFullDtw);
+  const double d = cascade_.Distance(window_, threshold_, &buffer_);
   if (d > threshold_) return std::nullopt;
   ++stats_.events;
   return Event{stats_.samples - 1, d};

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "warp/common/cost.h"
+#include "warp/core/cascade.h"
 #include "warp/core/dtw.h"
-#include "warp/core/envelope.h"
 #include "warp/ts/znorm.h"
 
 namespace warp {
@@ -31,13 +31,9 @@ class StreamMonitor {
     double distance = 0.0;  // cDTW distance of the matching window.
   };
 
-  struct Stats {
+  struct Stats : CascadeCounts {
     uint64_t samples = 0;
     uint64_t windows_checked = 0;
-    uint64_t pruned_by_kim = 0;
-    uint64_t pruned_by_keogh = 0;
-    uint64_t abandoned_dtw = 0;
-    uint64_t full_dtw = 0;
     uint64_t events = 0;
   };
 
@@ -45,6 +41,10 @@ class StreamMonitor {
   // as CdtwDistance on z-normalized series.
   StreamMonitor(std::vector<double> query, size_t band, double threshold,
                 CostKind cost = CostKind::kSquared);
+
+  // The cascade points into the monitor's own query and stats.
+  StreamMonitor(const StreamMonitor&) = delete;
+  StreamMonitor& operator=(const StreamMonitor&) = delete;
 
   // Feeds one sample; returns an event iff the window ending at this
   // sample matches. Event checks begin once `query.size()` samples have
@@ -56,17 +56,15 @@ class StreamMonitor {
 
  private:
   std::vector<double> query_;
-  Envelope query_envelope_;
-  size_t band_;
   double threshold_;
-  CostKind cost_;
+  Stats stats_;
+  Cascade cascade_;
 
   std::vector<double> ring_;   // Circular buffer of the last m samples.
   size_t ring_head_ = 0;       // Next write slot.
   RunningMeanStd running_;
   std::vector<double> window_; // Scratch: normalized trailing window.
   DtwWorkspace buffer_;
-  Stats stats_;
 };
 
 }  // namespace warp

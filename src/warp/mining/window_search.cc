@@ -3,9 +3,8 @@
 #include <limits>
 
 #include "warp/common/assert.h"
+#include "warp/core/cascade.h"
 #include "warp/core/dtw.h"
-#include "warp/core/envelope.h"
-#include "warp/core/lower_bounds.h"
 
 namespace warp {
 
@@ -20,7 +19,7 @@ double LoocvAccuracy(const Dataset& dataset, size_t band, CostKind cost) {
   WARP_CHECK_MSG(dataset.UniformLength() > 0,
                  "window search requires uniform-length series");
 
-  // Precompute envelopes once per band.
+  // Candidate envelopes once per band.
   std::vector<Envelope> envelopes;
   envelopes.reserve(dataset.size());
   for (const TimeSeries& series : dataset.series()) {
@@ -30,17 +29,18 @@ double LoocvAccuracy(const Dataset& dataset, size_t band, CostKind cost) {
   size_t correct = 0;
   DtwWorkspace buffer;
   for (size_t q = 0; q < dataset.size(); ++q) {
-    const std::span<const double> query = dataset[q].view();
+    const Cascade cascade(dataset[q].view(), band, cost);
     double best = kInf;
     int best_label = TimeSeries::kUnlabeled;
     for (size_t i = 0; i < dataset.size(); ++i) {
       if (i == q) continue;
       const std::span<const double> candidate = dataset[i].view();
-      if (LbKimFl(query, candidate, cost) >= best) continue;
-      if (LbKeogh(envelopes[q], candidate, cost, best) >= best) continue;
-      if (LbKeogh(envelopes[i], query, cost, best) >= best) continue;
+      if (cascade.KilledByKim(cascade.Kim(candidate.front(), candidate.back()),
+                              best)) {
+        continue;
+      }
       const double d =
-          CdtwDistanceAbandoning(query, candidate, band, best, cost, &buffer);
+          cascade.Distance(candidate, best, &buffer, &envelopes[i]);
       if (d < best) {
         best = d;
         best_label = dataset[i].label();

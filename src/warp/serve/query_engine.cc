@@ -5,18 +5,16 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "warp/common/assert.h"
 #include "warp/common/stopwatch.h"
+#include "warp/core/cascade.h"
 #include "warp/core/dtw.h"
-#include "warp/core/envelope.h"
-#include "warp/core/lower_bounds.h"
 #include "warp/mining/similarity_search.h"
 #include "warp/common/metrics.h"
 #include "warp/obs/histogram.h"
-#include "warp/simd/batch.h"
-#include "warp/simd/dispatch.h"
 #include "warp/ts/znorm.h"
 
 namespace warp {
@@ -30,13 +28,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // so chunk boundaries — and therefore the chunk-order merge — are
 // identical at any parallelism.
 constexpr size_t kScanGrain = 8;
-
-// The endpoint cost LB_Kim is built from; inlined here so the cascade's
-// first rung reads only the store's head/tail caches.
-double PointCost(double a, double b, CostKind kind) {
-  const double d = a - b;
-  return kind == CostKind::kAbsolute ? std::fabs(d) : d * d;
-}
 
 // Per-request deadline state shared across scan workers. `expired` is
 // monotone: once set, chunks stop scanning new candidates (their already
@@ -150,11 +141,9 @@ struct QueryEngine::Impl {
     std::string cache_key;
 
     std::vector<double> query;
-    bool cascade = false;
     bool is_range = false;
     size_t k = 1;
-    size_t band = 0;
-    Envelope query_envelope;
+    std::optional<Cascade> cascade;  // Exact-cDTW path only.
     size_t band_slot = StoredDataset::kNoBand;  // Candidate envelope slot.
     SeriesMeasure measure;  // Brute-force path only.
 
@@ -332,8 +321,7 @@ struct QueryEngine::Impl {
 
   ServeResponse ExecuteSubsequence(const ServeRequest& request,
                                    const StoredDataset& stored) {
-    const uint64_t cells_before =
-        obs::LocalCount(obs::Counter::kSubsequenceCells);
+    const uint64_t cells_before = obs::LocalCount(obs::Counter::kDtwCells);
     const Stopwatch watch;
     const std::vector<double> query = PrepareQuery(request);
     const TimeSeries& haystack = stored.SeriesAt(request.index);
@@ -354,7 +342,7 @@ struct QueryEngine::Impl {
     response.distance = match.distance;
     response.trace.engine_us = watch.ElapsedMicros();
     response.trace.cells =
-        obs::LocalCount(obs::Counter::kSubsequenceCells) - cells_before;
+        obs::LocalCount(obs::Counter::kDtwCells) - cells_before;
     return response;
   }
 
@@ -374,14 +362,11 @@ struct QueryEngine::Impl {
 
     // Exact-cDTW cascade only applies in the equal-length 1-NN setting;
     // everything else scans brute-force through the registry closure.
-    plan->cascade = request.measure == "cdtw" && stored.uniform_length > 0 &&
-                    plan->query.size() == stored.uniform_length;
-    plan->band = ResolveBand(request, stored.uniform_length > 0
-                                          ? stored.uniform_length
-                                          : plan->query.size());
-    if (plan->cascade) {
-      plan->query_envelope = ComputeEnvelope(plan->query, plan->band);
-      plan->band_slot = stored.BandSlot(plan->band);
+    if (request.measure == "cdtw" && stored.uniform_length > 0 &&
+        plan->query.size() == stored.uniform_length) {
+      const size_t band = ResolveBand(request, stored.uniform_length);
+      plan->cascade.emplace(plan->query, band, request.params.cost);
+      plan->band_slot = stored.BandSlot(band);
     } else {
       plan->measure = MakeMeasure(request.measure, request.params);
     }
@@ -419,79 +404,46 @@ struct QueryEngine::Impl {
     const ShardedDataset& shard = *slice.shard;
     ChunkHits& out = plan.chunks[slice.chunk_offset + begin / kScanGrain];
     const ServeRequest& request = *plan.request;
-    const std::vector<double>& query = plan.query;
-    const CostKind cost = request.params.cost;
+    const std::optional<Cascade>& cascade = plan.cascade;
     const std::vector<Envelope>* candidate_envelopes =
         plan.band_slot == StoredDataset::kNoBand
             ? nullptr
             : &shard.envelopes[plan.band_slot];
-    // Rung-1 LB_Kim for the whole chunk in vector lanes, off the shard's
-    // contiguous head/tail caches. The values are independent of the
-    // running bound, so hoisting them changes no kill decision, and the
-    // per-candidate call counting below (including its interaction with
-    // deadline expiry) is untouched.
+    // LB_Kim for the whole chunk off the shard's contiguous head/tail
+    // caches. The values do not depend on the running bound, so computing
+    // them first changes no kill decision; each is counted when the loop
+    // below reaches its candidate, so an expired deadline counts none of
+    // the rest.
     WARP_DCHECK(end - begin <= kScanGrain);
-    std::array<double, kScanGrain> kim_cache;
-    const bool batched_kim = plan.cascade && query.size() >= 2 &&
-                             end > begin && simd::SimdActive();
-    if (batched_kim) {
-      WithCost(cost, [&](auto c) {
-        simd::LbKimBatch<decltype(c)>(
-            query.front(), query.back(), shard.head.data() + begin,
-            shard.tail.data() + begin, end - begin, kim_cache.data());
-      });
+    std::array<double, kScanGrain> kims;
+    if (cascade) {
+      cascade->KimBlock(shard.head.data() + begin, shard.tail.data() + begin,
+                        end - begin, kims.data());
     }
     for (size_t i = begin; i < end; ++i) {
       if (plan.deadline.Expired()) return;
       ++out.scanned;
-      WARP_COUNT(obs::Counter::kCascadeCandidates);
       // The pruning threshold: anything with distance strictly above it
       // cannot enter the answer. Range queries use the fixed request
       // threshold; 1nn combines the shared bound with the chunk-local
       // best; knn uses the chunk-local k-th best. All three are valid
       // upper bounds no matter how candidates are partitioned into
-      // chunks or shards, and the tests are STRICT, so re-sharding can
-      // change which candidates get pruned but never the answer.
+      // chunks or shards, and the cascade kills only strictly above
+      // them, so re-sharding can change which candidates get pruned but
+      // never the answer.
       const double bound =
           plan.is_range ? request.threshold
                         : std::min(plan.shared.Get(), out.KthBound(plan.k));
       double distance;
-      if (plan.cascade) {
-        const std::span<const double> candidate = shard.data[i].view();
-        WARP_COUNT(obs::Counter::kLbKimCalls);
-        if (query.size() == 1) {
-          distance = PointCost(query[0], shard.head[i], cost);
-        } else {
-          const double kim =
-              batched_kim
-                  ? kim_cache[i - begin]
-                  : PointCost(query[0], shard.head[i], cost) +
-                        PointCost(query[query.size() - 1], shard.tail[i],
-                                  cost);
-          if (kim > bound) {
-            WARP_COUNT(obs::Counter::kLbKimKills);
-            continue;
-          }
-          if (candidate_envelopes != nullptr &&
-              LbKeogh((*candidate_envelopes)[i], query, cost, bound) >
-                  bound) {
-            WARP_COUNT(obs::Counter::kLbKeoghKills);
-            continue;
-          }
-          if (LbKeogh(plan.query_envelope, candidate, cost, bound) > bound) {
-            WARP_COUNT(obs::Counter::kLbKeoghKills);
-            continue;
-          }
-          distance = CdtwDistanceAbandoning(query, candidate, plan.band,
-                                            bound, cost, &workspace);
-          if (distance == kInf) {
-            WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
-            continue;
-          }
-          WARP_COUNT(obs::Counter::kCascadeFullDtw);
-        }
+      if (cascade) {
+        if (cascade->KilledByKim(kims[i - begin], bound)) continue;
+        distance = cascade->Distance(
+            shard.data[i].view(), bound, &workspace,
+            candidate_envelopes != nullptr ? &(*candidate_envelopes)[i]
+                                           : nullptr);
+        if (distance == kInf) continue;
       } else {
-        distance = plan.measure(query, shard.data[i].view());
+        distance = plan.measure(plan.query, shard.data[i].view());
       }
       // Hits carry GLOBAL series indices, so the gather merge and the
       // (distance, index) total order are shard-layout-independent.

@@ -2,14 +2,14 @@
 //
 // Resolves a typed ServeRequest (warp/serve/request.h) through the
 // measure registry and answers it from the store's precomputed LB index:
-// for cDTW the per-candidate cascade is
+// for cDTW each candidate runs the cascade of warp/core/cascade.h,
 //
-//   LB_Kim (head/tail cache) -> LB_Keogh(candidate envelope, query)
-//   (precomputed) -> LB_Keogh(query envelope, candidate) (built once per
-//   request) -> early-abandoning cDTW
+//   LB_Kim (head/tail cache) -> LB_Keogh(query envelope, candidate)
+//   (built once per request) -> LB_Keogh(candidate envelope, query)
+//   (precomputed) -> early-abandoning cDTW
 //
-// exactly the UCR-suite ordering, with each rung pruned against the
-// current best-so-far. Other registered measures scan brute-force through
+// with each rung pruned against the current best-so-far, k-th best or
+// range threshold. Other registered measures scan brute-force through
 // their registry closure. Scans run on the engine's ThreadPool in
 // fixed-size chunks; per-chunk winners merge on the calling thread by the
 // total order (distance, index), so every answer is bitwise-identical at
@@ -45,7 +45,7 @@ class QueryEngine {
   // N = N pool workers.
   QueryEngine(const DatasetStore* store, ResultCache* cache,
               size_t threads = 1, SlowQueryLog* slowlog = nullptr);
-  ~QueryEngine();
+  virtual ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -63,8 +63,9 @@ class QueryEngine {
   // request fan out request-per-chunk over the pool (each request scans
   // serially), single requests fan out candidate-chunks. Either path
   // yields bitwise-identical responses to Run() on each request alone.
-  void RunBatch(const std::vector<ServeRequest>& requests,
-                std::vector<ServeResponse>* responses);
+  // Virtual so a test engine can hold a batch in flight.
+  virtual void RunBatch(const std::vector<ServeRequest>& requests,
+                        std::vector<ServeResponse>* responses);
 
  private:
   struct Impl;

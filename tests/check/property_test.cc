@@ -211,7 +211,7 @@ TEST(CheckPropertyFuzz, CascadeClassifierExactAcrossThreadCounts) {
   // each other, which CheckCascadeExact enforces via the shared brute-
   // force reference).
   std::string error;
-  for (const uint64_t seed : {11u, 22u, 33u}) {
+  for (const uint64_t seed : {11u, 22u, 33u, 44u}) {
     Dataset train = gen::RandomWalkDataset(16, 48, seed);
     Dataset test = gen::RandomWalkDataset(8, 48, seed + 1000);
     for (size_t i = 0; i < train.size(); ++i) {
@@ -219,6 +219,18 @@ TEST(CheckPropertyFuzz, CascadeClassifierExactAcrossThreadCounts) {
     }
     for (size_t i = 0; i < test.size(); ++i) {
       test[i].set_label(static_cast<int>(i % 3));
+    }
+    if (seed == 44u) {
+      // Exact ties: train series duplicated under another label, and
+      // train series reused as queries, whose zero distance later makes
+      // a duplicate's lower bounds equal the bound.
+      for (const size_t i : {size_t{2}, size_t{5}, size_t{5}}) {
+        TimeSeries copy = train[i];
+        copy.set_label((copy.label() + 1) % 3);
+        train.Add(copy);
+      }
+      test.Add(train[2]);
+      test.Add(train[5]);
     }
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       EXPECT_TRUE(check::CheckCascadeExact(train, test, 5,

@@ -2,12 +2,35 @@
 
 #include "warp/mining/window_search.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "warp/core/dtw.h"
 #include "warp/gen/gesture.h"
 
 namespace warp {
 namespace {
+
+// Leave-one-out 1-NN over plain CdtwDistance; the first strict minimum
+// wins, as in LoocvAccuracy.
+double BruteForceLoocv(const Dataset& dataset, size_t band) {
+  size_t correct = 0;
+  for (size_t q = 0; q < dataset.size(); ++q) {
+    double best = std::numeric_limits<double>::infinity();
+    int best_label = TimeSeries::kUnlabeled;
+    for (size_t i = 0; i < dataset.size(); ++i) {
+      if (i == q) continue;
+      const double d = CdtwDistance(dataset[q].view(), dataset[i].view(), band);
+      if (d < best) {
+        best = d;
+        best_label = dataset[i].label();
+      }
+    }
+    if (best_label == dataset[q].label()) ++correct;
+  }
+  return static_cast<double>(correct) / static_cast<double>(dataset.size());
+}
 
 TEST(WindowSearchTest, LoocvAccuracyPerfectOnTrivialData) {
   Dataset dataset;
@@ -17,6 +40,27 @@ TEST(WindowSearchTest, LoocvAccuracyPerfectOnTrivialData) {
   }
   EXPECT_DOUBLE_EQ(LoocvAccuracy(dataset, 0), 1.0);
   EXPECT_DOUBLE_EQ(LoocvAccuracy(dataset, 2), 1.0);
+}
+
+TEST(WindowSearchTest, LoocvMatchesBruteForceWithDuplicates) {
+  gen::GestureOptions options;
+  options.length = 40;
+  options.num_classes = 3;
+  options.warp_fraction = 0.1;
+  options.seed = 124;
+  Dataset dataset = gen::MakeGestureDataset(4, options);
+  // Copies under another label tie their originals exactly, so the
+  // answer depends on which of two equal distances wins.
+  for (const size_t i : {size_t{1}, size_t{4}, size_t{4}, size_t{7}}) {
+    TimeSeries copy = dataset[i];
+    copy.set_label((copy.label() + 1) % 3);
+    dataset.Add(copy);
+  }
+  for (const size_t band : {size_t{0}, size_t{1}, size_t{3}, size_t{8},
+                            size_t{40}}) {
+    EXPECT_EQ(LoocvAccuracy(dataset, band), BruteForceLoocv(dataset, band))
+        << "band " << band;
+  }
 }
 
 TEST(WindowSearchTest, SweepsRequestedBands) {

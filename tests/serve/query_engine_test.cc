@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "warp/common/metrics.h"
 #include "warp/core/measure.h"
 #include "warp/gen/random_walk.h"
 #include "warp/mining/similarity_search.h"
@@ -189,6 +190,7 @@ TEST_F(QueryEngineTest, SubsequenceMatchesFindBestMatch) {
   request.dataset = "long";
   request.index = 1;
   request.query = gen::RandomWalkDataset(1, 32, 9)[0].values();
+  request.trace = true;
 
   const auto snapshot = store_.Get("long");
   const size_t band = static_cast<size_t>(
@@ -202,6 +204,10 @@ TEST_F(QueryEngineTest, SubsequenceMatchesFindBestMatch) {
     EXPECT_EQ(response.position, expected.position);
     EXPECT_EQ(response.distance, expected.distance);
     EXPECT_EQ(response.total, 256u - 32u + 1u);
+    // The search's banded cDTW cells are the reply's work.
+    if (obs::kProfilingEnabled) {
+      EXPECT_GT(response.trace.cells, 0u);
+    }
   });
 }
 

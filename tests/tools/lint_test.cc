@@ -188,6 +188,7 @@ const RuleFixture kRuleFixtures[] = {
     {"bad_platform_rng", "platform-rng", 2, 2},
     {"bad_chrono", "chrono-containment", 2, 2},
     {"bad_dp_engine", "dp-engine-only", 1, 1},
+    {"bad_cascade", "cascade-containment", 2, 2},
     {"bad_socket", "socket-containment", 2, 2},
     {"bad_cluster_proc", "proc-containment", 3, 3},
     {"bad_serve_io", "serve-io-containment", 2, 2},
