@@ -5,13 +5,13 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "warp/common/assert.h"
 #include "warp/common/parallel.h"
 #include "warp/common/stopwatch.h"
 #include "warp/core/dtw.h"
+#include "warp/core/neighbor.h"
 
 namespace warp {
 
@@ -86,54 +86,22 @@ ClassificationStats Evaluate1Nn(const Dataset& train, const Dataset& test,
 
 namespace {
 
-// A bounded set of the k nearest (distance, index) pairs, kept sorted
-// ascending; worst() is the pruning threshold once full.
-class KBest {
- public:
-  explicit KBest(size_t k) : k_(k) {}
-
-  void Offer(double distance, size_t index) {
-    if (entries_.size() == k_ && distance >= worst()) return;
-    const std::pair<double, size_t> entry{distance, index};
-    const auto at = std::upper_bound(entries_.begin(), entries_.end(), entry);
-    entries_.insert(at, entry);
-    if (entries_.size() > k_) entries_.pop_back();
-  }
-
-  bool full() const { return entries_.size() == k_; }
-  double worst() const {
-    return entries_.empty() ? std::numeric_limits<double>::infinity()
-                            : entries_.back().first;
-  }
-  double PruneThreshold() const {
-    return full() ? worst() : std::numeric_limits<double>::infinity();
-  }
-  const std::vector<std::pair<double, size_t>>& entries() const {
-    return entries_;
-  }
-
- private:
-  size_t k_;
-  std::vector<std::pair<double, size_t>> entries_;
-};
-
-// Majority vote over the k nearest; ties resolved toward the class whose
-// nearest member is closest (entries are sorted, so first-seen wins).
-Prediction VoteFromKBest(const Dataset& train, const KBest& kbest) {
-  WARP_CHECK(!kbest.entries().empty());
+// Majority vote over the k nearest (sorted by NeighborLess); ties
+// resolved toward the class whose nearest member is closest (first-seen
+// wins).
+Prediction VoteFromKBest(const std::vector<Neighbor>& kbest) {
+  WARP_CHECK(!kbest.empty());
   std::map<int, size_t> votes;
-  for (const auto& [distance, index] : kbest.entries()) {
-    ++votes[train[index].label()];
-  }
+  for (const Neighbor& n : kbest) ++votes[n.label];
   size_t best_votes = 0;
   for (const auto& [label, n] : votes) best_votes = std::max(best_votes, n);
 
   Prediction prediction;
-  prediction.nn_index = kbest.entries().front().second;
-  prediction.distance = kbest.entries().front().first;
-  for (const auto& [distance, index] : kbest.entries()) {
-    if (votes[train[index].label()] == best_votes) {
-      prediction.label = train[index].label();
+  prediction.nn_index = kbest.front().index;
+  prediction.distance = kbest.front().distance;
+  for (const Neighbor& n : kbest) {
+    if (votes[n.label] == best_votes) {
+      prediction.label = n.label;
       break;
     }
   }
@@ -146,11 +114,12 @@ Prediction ClassifyKnn(const Dataset& train, std::span<const double> query,
                        size_t k, const SeriesMeasure& measure) {
   WARP_CHECK(!train.empty());
   WARP_CHECK(k >= 1 && k <= train.size());
-  KBest kbest(k);
+  std::vector<Neighbor> kbest;
   for (size_t i = 0; i < train.size(); ++i) {
-    kbest.Offer(measure(train[i].view(), query), i);
+    AddTopK(&kbest, {i, train[i].label(), measure(train[i].view(), query)},
+            k);
   }
-  return VoteFromKBest(train, kbest);
+  return VoteFromKBest(kbest);
 }
 
 ClassificationStats EvaluateKnn(const Dataset& train, const Dataset& test,
@@ -243,17 +212,17 @@ Prediction AcceleratedNnClassifier::Nearest(std::span<const double> query,
   cascade.KimBlock(heads_.data(), tails_.data(), kims.size(), kims.data());
   if (stats != nullptr) stats->candidates += train_.size();
 
-  // The k-th best so far bounds the cascade; KBest keeps the first of
+  // The k-th best so far bounds the cascade; AddTopK keeps the first of
   // equal distances, as a serial brute-force scan does.
-  KBest kbest(k);
+  std::vector<Neighbor> kbest;
   for (size_t i = 0; i < train_.size(); ++i) {
-    const double threshold = kbest.PruneThreshold();
+    const double threshold = kbest.size() == k ? kbest.back().distance : kInf;
     if (cascade.KilledByKim(kims[i], threshold)) continue;
     const double d = cascade.Distance(train_[i].view(), threshold, buffer,
                                       &train_envelopes_[i]);
-    if (d < kInf) kbest.Offer(d, i);
+    if (d < kInf) AddTopK(&kbest, {i, train_[i].label(), d}, k);
   }
-  return VoteFromKBest(train_, kbest);
+  return VoteFromKBest(kbest);
 }
 
 ClassificationStats AcceleratedNnClassifier::Evaluate(const Dataset& test,

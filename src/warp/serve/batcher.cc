@@ -102,6 +102,8 @@ void Batcher::DispatchLoop() {
       requests.insert(requests.end(), s->requests->begin(),
                       s->requests->end());
     }
+    WARP_COUNT(obs::Counter::kServeBatches);
+    WARP_COUNT_ADD(obs::Counter::kServeBatchedQueries, requests.size());
     WARP_HISTOGRAM_RECORD(obs::Histogram::kServeBatchOccupancy,
                           requests.size());
     for (size_t i = 0; i < batch.size(); ++i) {

@@ -4,9 +4,9 @@
 // dispatcher thread drains EVERY submission pending at that moment into
 // one QueryEngine::RunBatch call. Queries that arrive while a batch is in
 // flight pile up and form the next batch — the classic group-commit
-// shape. The engine groups each batch by dataset, so concurrent clients
-// hammering the same dataset share its snapshot resolution and fan out
-// over one ParallelFor instead of queueing pool round-trips per request.
+// shape. The engine runs every request of a batch as one ParallelFor
+// work list, so concurrent clients share the pool instead of queueing
+// pool round-trips per request.
 //
 // The dispatcher is the engine's single orchestrator: Execute() never
 // touches the engine from the submitting thread, so the ThreadPool's

@@ -24,12 +24,16 @@ struct FrontEnd::Impl {
   struct Connection {
     TcpConn conn;
     std::thread thread;
+    std::atomic<bool> finished{false};  // Set as the handler returns.
   };
 
   explicit Impl(FrontEndHandlers handlers_in)
       : handlers(std::move(handlers_in)) {}
 
   void HandleConnection(Connection* connection);
+  // Joins and closes every connection whose handler has returned, so a
+  // long-lived server holds descriptors and threads only for live ones.
+  void ReapFinishedConnections();
   // Unblocks, joins and forgets every connection thread.
   void JoinConnections();
 
@@ -114,6 +118,16 @@ void FrontEnd::Impl::HandleConnection(Connection* connection) {
   }
   connection->conn.ShutdownBoth();
   WARP_GAUGE_ADD(obs::Gauge::kServeOpenConnections, -1);
+  connection->finished.store(true, std::memory_order_release);
+}
+
+void FrontEnd::Impl::ReapFinishedConnections() {
+  std::lock_guard<std::mutex> lock(conn_mutex);
+  std::erase_if(connections, [](const std::unique_ptr<Connection>& c) {
+    if (!c->finished.load(std::memory_order_acquire)) return false;
+    c->thread.join();
+    return true;
+  });
 }
 
 void FrontEnd::Impl::JoinConnections() {
@@ -143,6 +157,7 @@ int FrontEnd::port() const { return impl_->port; }
 
 void FrontEnd::Serve() {
   while (!impl_->shutdown.load(std::memory_order_relaxed)) {
+    impl_->ReapFinishedConnections();
     bool timed_out = false;
     TcpConn conn = impl_->listener.AcceptWithTimeout(kAcceptPollMs, &timed_out);
     if (!conn.valid()) {

@@ -47,7 +47,9 @@ class FrontEnd {
   int port() const;
 
   // Serves until RequestShutdown() or a client's `shutdown`, then joins
-  // every connection thread. RequestShutdown is safe from any thread.
+  // every connection thread. While serving, the accept loop joins and
+  // closes each connection its client has left. RequestShutdown is safe
+  // from any thread.
   void Serve();
   void RequestShutdown();
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "warp/common/assert.h"
@@ -100,17 +101,6 @@ struct QueryEngine::Impl {
 
   size_t Threads() const { return pool ? pool->size() : 1; }
 
-  // How a scan executes: on `pool` with per-worker workspaces, or inline
-  // on the calling thread pinned to workspace slot `fixed_worker`.
-  struct ExecContext {
-    ThreadPool* pool = nullptr;
-    size_t fixed_worker = 0;
-  };
-
-  DtwWorkspace& WorkspaceFor(const ExecContext& ctx, size_t worker) {
-    return workspaces[ctx.pool != nullptr ? worker : ctx.fixed_worker];
-  }
-
   // One shard's share of a scan plan. `chunk_offset` indexes the shard's
   // first chunk inside the plan-wide `chunks` array, which is laid out
   // shard-major (all of shard 0's chunks, then shard 1's, ...): a fixed
@@ -122,43 +112,55 @@ struct QueryEngine::Impl {
     size_t chunk_offset = 0;
   };
 
-  // One scan request decomposed for chunk-level execution: Prepare (once,
-  // serial — z-norm, query envelope, registry resolution), ScanRange (any
-  // worker, any order, any interleaving with other plans' chunks), Merge
-  // (once, serial, fixed chunk order). The decomposition is what lets
-  // RunBatch flatten a whole group of requests into one (request, chunk)
-  // work list without changing any answer: chunk boundaries and merge
-  // order never depend on scheduling. Since PR 9 the prepared chunks
-  // SCATTER across the dataset's shards (each chunk is a contiguous run
-  // of one shard's local candidates) and the merge GATHERS them in
-  // shard-major chunk order — sharding only re-arranges which chunk a
-  // candidate lands in, so with the strict pruning rules below the
-  // answer stays bitwise-identical at any shard count.
-  struct ScanPlan {
-    size_t slot = 0;  // Batch response index (RunBatch bookkeeping).
+  // One uncached request of a batch, decomposed for the batch work list:
+  // MakePlan (serial, in request order — z-norm, registry resolution,
+  // query envelope), its units (any worker, any order, interleaved with
+  // every other plan's units), then merge, cache insert and FinishQuery
+  // (serial, in request order). A scan contributes one unit per chunk of
+  // kScanGrain shard-local candidates; the chunks SCATTER across the
+  // dataset's shards and the merge GATHERS them in shard-major chunk
+  // order, so neither scheduling nor the shard count ever shows in the
+  // answer. A dist or subsequence plan contributes one unit, which writes
+  // `point`.
+  struct Plan {
     const ServeRequest* request = nullptr;
-    const StoredDataset* stored = nullptr;
+    ServeResponse* out = nullptr;  // The request's response slot.
+    // Held so a concurrent re-registration cannot free the dataset the
+    // request was validated against while its units run.
+    std::shared_ptr<const StoredDataset> snapshot;
     std::string cache_key;
-
+    double cache_us = 0.0;  // Lookup-miss time.
     std::vector<double> query;
+
+    // Scan ops (1nn/knn/range) only.
     bool is_range = false;
     size_t k = 1;
     std::optional<Cascade> cascade;  // Exact-cDTW path only.
     size_t band_slot = StoredDataset::kNoBand;  // Candidate envelope slot.
     SeriesMeasure measure;  // Brute-force path only.
-
     Deadline deadline;
     SharedBound shared;  // 1nn cross-chunk bound; unused for knn/range.
     std::vector<ShardSlice> slices;  // One per shard, in shard order.
     std::vector<ChunkHits> chunks;   // Shard-major.
-
     // Telemetry accumulated across chunks. Integer nanoseconds and cell
     // counts merge by commutative fetch_add, so the totals are
     // scheduling-independent aside from the wall-clock readings
     // themselves (which never enter goldens or the cache key).
     std::atomic<uint64_t> engine_nanos{0};
     std::atomic<uint64_t> dtw_cells{0};
-    double cache_us = 0.0;  // Lookup-miss time, stamped by the caller.
+
+    // Dist and subsequence: the answer their one unit computes.
+    ServeResponse point;
+  };
+
+  // One entry of the batch work list: a chunk of one scan plan (a
+  // contiguous local candidate run inside one shard slice), or the whole
+  // of a dist/subsequence plan.
+  struct Unit {
+    Plan* plan = nullptr;
+    size_t slice = 0;  // Index into plan->slices.
+    size_t begin = 0;
+    size_t end = 0;  // Local candidate range within the shard.
   };
 
   // RAII chunk attribution: on destruction, adds the chunk's wall time
@@ -166,11 +168,11 @@ struct QueryEngine::Impl {
   // relaxed loads and two fetch_adds per kScanGrain candidates — far
   // below the cost of the cells themselves.
   struct ChunkWork {
-    ScanPlan& plan;
+    Plan& plan;
     uint64_t cells_before;
     Stopwatch watch;
 
-    explicit ChunkWork(ScanPlan& plan_in)
+    explicit ChunkWork(Plan& plan_in)
         : plan(plan_in),
           cells_before(obs::LocalCount(obs::Counter::kDtwCells)) {}
     ~ChunkWork() {
@@ -193,8 +195,8 @@ struct QueryEngine::Impl {
     return response;
   }
 
-  // Request-wide validation shared by Run and RunBatch. Returns true and
-  // fills *snapshot on success, else fills *failure.
+  // Request-wide validation. Returns true and fills *snapshot on success,
+  // else fills *failure.
   bool Resolve(const ServeRequest& request,
                std::shared_ptr<const StoredDataset>* snapshot,
                ServeResponse* failure) {
@@ -285,81 +287,19 @@ struct QueryEngine::Impl {
     return band < 0 ? 0 : static_cast<size_t>(band);
   }
 
-  ServeResponse Execute(const ServeRequest& request,
-                        const StoredDataset& stored, const ExecContext& ctx) {
-    switch (request.op) {
-      case QueryOp::kDist:
-        return ExecuteDist(request, stored);
-      case QueryOp::kSubsequence:
-        return ExecuteSubsequence(request, stored);
-      case QueryOp::k1Nn:
-      case QueryOp::kKnn:
-      case QueryOp::kRange:
-        return ExecuteScan(request, stored, ctx);
-    }
-    return ErrorResponse(request, "unhandled operation");
-  }
-
-  ServeResponse ExecuteDist(const ServeRequest& request,
-                            const StoredDataset& stored) {
-    const uint64_t cells_before = obs::LocalCount(obs::Counter::kDtwCells);
-    const Stopwatch watch;
-    const std::vector<double> query = PrepareQuery(request);
-    const SeriesMeasure measure =
-        MakeMeasure(request.measure, request.params);
-    ServeResponse response;
-    response.id = request.id;
-    response.op = request.op;
-    response.ok = true;
-    response.scanned = response.total = 1;
-    response.distance = measure(query, stored.SeriesAt(request.index).view());
-    response.trace.engine_us = watch.ElapsedMicros();
-    response.trace.cells =
-        obs::LocalCount(obs::Counter::kDtwCells) - cells_before;
-    return response;
-  }
-
-  ServeResponse ExecuteSubsequence(const ServeRequest& request,
-                                   const StoredDataset& stored) {
-    const uint64_t cells_before = obs::LocalCount(obs::Counter::kDtwCells);
-    const Stopwatch watch;
-    const std::vector<double> query = PrepareQuery(request);
-    const TimeSeries& haystack = stored.SeriesAt(request.index);
-    if (haystack.size() < query.size()) {
-      return ErrorResponse(request,
-                           "query longer than target series " +
-                               std::to_string(request.index));
-    }
-    const size_t band = ResolveBand(request, query.size());
-    const SubsequenceMatch match = FindBestMatch(
-        haystack.view(), query, band, request.params.cost, nullptr);
-    ServeResponse response;
-    response.id = request.id;
-    response.op = request.op;
-    response.ok = true;
-    response.scanned = response.total = haystack.size() - query.size() + 1;
-    response.position = match.position;
-    response.distance = match.distance;
-    response.trace.engine_us = watch.ElapsedMicros();
-    response.trace.cells =
-        obs::LocalCount(obs::Counter::kDtwCells) - cells_before;
-    return response;
-  }
-
-  std::vector<double> PrepareQuery(const ServeRequest& request) {
-    if (!request.znormalize) return request.query;
-    return ZNormalized(request.query);
-  }
-
-  std::unique_ptr<ScanPlan> PrepareScan(const ServeRequest& request,
-                                        const StoredDataset& stored) {
-    auto plan = std::make_unique<ScanPlan>();
+  std::unique_ptr<Plan> MakePlan(
+      const ServeRequest& request,
+      std::shared_ptr<const StoredDataset> snapshot) {
+    auto plan = std::make_unique<Plan>();
     plan->request = &request;
-    plan->stored = &stored;
-    plan->query = PrepareQuery(request);
+    plan->snapshot = std::move(snapshot);
+    plan->query =
+        request.znormalize ? ZNormalized(request.query) : request.query;
+    if (!IsScanOp(request.op)) return plan;
+
+    const StoredDataset& stored = *plan->snapshot;
     plan->k = request.op == QueryOp::kKnn ? request.k : 1;
     plan->is_range = request.op == QueryOp::kRange;
-
     // Exact-cDTW cascade only applies in the equal-length 1-NN setting;
     // everything else scans brute-force through the registry closure.
     if (request.measure == "cdtw" && stored.uniform_length > 0 &&
@@ -395,11 +335,60 @@ struct QueryEngine::Impl {
     return plan;
   }
 
+  static void AppendUnits(Plan* plan, std::vector<Unit>* units) {
+    if (!IsScanOp(plan->request->op)) {
+      units->push_back({plan});
+      return;
+    }
+    for (size_t s = 0; s < plan->slices.size(); ++s) {
+      const size_t count = plan->slices[s].shard->size();
+      for (size_t begin = 0; begin < count; begin += kScanGrain) {
+        units->push_back(
+            {plan, s, begin, std::min(begin + kScanGrain, count)});
+      }
+    }
+  }
+
+  // The one unit of a dist or subsequence plan.
+  static void ExecutePoint(Plan& plan) {
+    const ServeRequest& request = *plan.request;
+    const TimeSeries& target = plan.snapshot->SeriesAt(request.index);
+    const uint64_t cells_before = obs::LocalCount(obs::Counter::kDtwCells);
+    const Stopwatch watch;
+    ServeResponse& response = plan.point;
+    if (request.op == QueryOp::kDist) {
+      response.scanned = response.total = 1;
+      response.distance = MakeMeasure(request.measure, request.params)(
+          plan.query, target.view());
+    } else {
+      if (target.size() < plan.query.size()) {
+        response = ErrorResponse(request,
+                                 "query longer than target series " +
+                                     std::to_string(request.index));
+        return;
+      }
+      const SubsequenceMatch match =
+          FindBestMatch(target.view(), plan.query,
+                        ResolveBand(request, plan.query.size()),
+                        request.params.cost, nullptr);
+      response.scanned = response.total =
+          target.size() - plan.query.size() + 1;
+      response.position = match.position;
+      response.distance = match.distance;
+    }
+    response.id = request.id;
+    response.op = request.op;
+    response.ok = true;
+    response.trace.engine_us = watch.ElapsedMicros();
+    response.trace.cells =
+        obs::LocalCount(obs::Counter::kDtwCells) - cells_before;
+  }
+
   // Scans one shard's local candidates [begin, end) — one chunk — into
   // the plan's per-chunk accumulator. Safe to run concurrently with any
-  // other chunk of any plan; `workspace` must be exclusive to the caller.
-  void ScanRange(ScanPlan& plan, const ShardSlice& slice, size_t begin,
-                 size_t end, DtwWorkspace& workspace) {
+  // other unit of any plan; `workspace` must be exclusive to the caller.
+  static void ScanRange(Plan& plan, const ShardSlice& slice, size_t begin,
+                        size_t end, DtwWorkspace& workspace) {
     ChunkWork work(plan);
     const ShardedDataset& shard = *slice.shard;
     ChunkHits& out = plan.chunks[slice.chunk_offset + begin / kScanGrain];
@@ -461,14 +450,12 @@ struct QueryEngine::Impl {
   }
 
   // Chunk-order gather merge on the calling thread: deterministic at any
-  // thread count and identical between the candidate-parallel and
-  // flattened batch paths. Shard-layout-independent too: top-k merging
-  // selects the k smallest under the strict (distance, index) order (a
-  // set property), and range hits are re-sorted into global index order
-  // (a no-op at 1 shard, where chunk concatenation is already
-  // index-ordered) — both in MergeNeighbors, the cluster router's merge
-  // too.
-  ServeResponse MergeScan(ScanPlan& plan) {
+  // thread count. Shard-layout-independent too: top-k merging selects the
+  // k smallest under the strict (distance, index) order (a set property),
+  // and range hits are re-sorted into global index order (a no-op at 1
+  // shard, where chunk concatenation is already index-ordered) — both in
+  // MergeNeighbors, the cluster router's merge too.
+  static ServeResponse MergeScan(Plan& plan) {
     const Stopwatch merge_watch;
     const ServeRequest& request = *plan.request;
     ServeResponse response;
@@ -502,58 +489,15 @@ struct QueryEngine::Impl {
             plan.engine_nanos.load(std::memory_order_relaxed)) *
         1e-3;
     response.trace.cells = plan.dtw_cells.load(std::memory_order_relaxed);
-    response.trace.cache_us = plan.cache_us;
     response.trace.merge_us = merge_watch.ElapsedMicros();
     return response;
   }
 
-  // One schedulable chunk of one plan: a contiguous local candidate run
-  // inside one shard slice. Both execution paths (single request, batch)
-  // flatten their plans into a list of these and fan the list out.
-  struct ScanUnit {
-    ScanPlan* plan;
-    size_t slice;  // Index into plan->slices.
-    size_t begin;
-    size_t end;  // Local candidate range within the shard.
-  };
-
-  static void AppendUnits(ScanPlan* plan, std::vector<ScanUnit>* units) {
-    for (size_t s = 0; s < plan->slices.size(); ++s) {
-      const size_t count = plan->slices[s].shard->size();
-      for (size_t begin = 0; begin < count; begin += kScanGrain) {
-        units->push_back(
-            {plan, s, begin, std::min(begin + kScanGrain, count)});
-      }
-    }
-  }
-
-  void RunUnits(const std::vector<ScanUnit>& units, const ExecContext& ctx) {
-    ParallelFor(ctx.pool, 0, units.size(), 1,
-                [&](size_t begin, size_t end, size_t worker) {
-                  for (size_t u = begin; u < end; ++u) {
-                    const ScanUnit& unit = units[u];
-                    ScanRange(*unit.plan, unit.plan->slices[unit.slice],
-                              unit.begin, unit.end,
-                              WorkspaceFor(ctx, worker));
-                  }
-                });
-  }
-
-  ServeResponse ExecuteScan(const ServeRequest& request,
-                            const StoredDataset& stored,
-                            const ExecContext& ctx) {
-    const std::unique_ptr<ScanPlan> plan = PrepareScan(request, stored);
-    std::vector<ScanUnit> units;
-    AppendUnits(plan.get(), &units);
-    RunUnits(units, ctx);
-    return MergeScan(*plan);
-  }
-
-  // Final per-query accounting, common to every execution path: stamps
-  // the trace-echo flag, records the stage/latency/work histograms, and
-  // feeds computed queries to the slow-query log. Latency here is
-  // engine-side (lookup + scan + merge); parse/queue/serialize stages are
-  // recorded by their own layers.
+  // Final per-query accounting, for hits and computed answers alike:
+  // stamps the trace-echo flag, records the stage/latency/work
+  // histograms, and feeds computed queries to the slow-query log. Latency
+  // here is engine-side (lookup + scan + merge); parse/queue/serialize
+  // stages are recorded by their own layers.
   void FinishQuery(const ServeRequest& request, ServeResponse* response) {
     StageTrace& t = response->trace;
     t.requested = request.trace;
@@ -582,25 +526,67 @@ struct QueryEngine::Impl {
     }
   }
 
-  ServeResponse RunOne(const ServeRequest& request,
-                       const std::shared_ptr<const StoredDataset>& snapshot,
-                       const ExecContext& ctx) {
-    const std::string key = CacheKey(request, snapshot->epoch);
-    const Stopwatch lookup;
-    ServeResponse response;
-    if (cache != nullptr && cache->Lookup(key, &response)) {
-      response.id = request.id;
-      response.trace.from_cache = true;
-      response.trace.cache_us = lookup.ElapsedMicros();
-      FinishQuery(request, &response);
-      return response;
+  // The one request path; Run is a batch of one. Step 1, in request
+  // order: resolve, probe the cache, plan every miss. Every probe comes
+  // before any insert, so the batch reads the cache as it stood when the
+  // batch began: a duplicate inside a batch is computed, not served from
+  // its twin, at any thread count. Step 2: every plan's units as one
+  // ParallelFor work list, so the pool stays saturated however the batch
+  // divides into requests (inline on this thread when the pool is null).
+  // Step 3, in request order: merge, cache insert, FinishQuery.
+  void Answer(std::span<const ServeRequest> requests,
+              ServeResponse* responses) {
+    std::vector<std::unique_ptr<Plan>> plans;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      WARP_COUNT(obs::Counter::kServeRequests);
+      const ServeRequest& request = requests[i];
+      ServeResponse& response = responses[i];
+      std::shared_ptr<const StoredDataset> snapshot;
+      if (!Resolve(request, &snapshot, &response)) continue;
+      std::string key = CacheKey(request, snapshot->epoch);
+      const Stopwatch lookup;
+      const bool hit = cache != nullptr && cache->Lookup(key, &response);
+      const double cache_us = cache != nullptr ? lookup.ElapsedMicros() : 0.0;
+      if (hit) {
+        response.id = request.id;
+        response.trace.from_cache = true;
+        response.trace.cache_us = cache_us;
+        FinishQuery(request, &response);
+        continue;
+      }
+      plans.push_back(MakePlan(request, std::move(snapshot)));
+      plans.back()->out = &response;
+      plans.back()->cache_key = std::move(key);
+      plans.back()->cache_us = cache_us;
     }
-    const double cache_us = cache != nullptr ? lookup.ElapsedMicros() : 0.0;
-    response = Execute(request, *snapshot, ctx);
-    response.trace.cache_us = cache_us;
-    if (cache != nullptr) cache->Insert(key, response);
-    FinishQuery(request, &response);
-    return response;
+
+    std::vector<Unit> units;
+    for (const std::unique_ptr<Plan>& plan : plans) {
+      AppendUnits(plan.get(), &units);
+    }
+    ParallelFor(pool.get(), 0, units.size(), 1,
+                [&](size_t begin, size_t end, size_t worker) {
+                  for (size_t u = begin; u < end; ++u) {
+                    Plan& plan = *units[u].plan;
+                    if (IsScanOp(plan.request->op)) {
+                      ScanRange(plan, plan.slices[units[u].slice],
+                                units[u].begin, units[u].end,
+                                workspaces[worker]);
+                    } else {
+                      ExecutePoint(plan);
+                    }
+                  }
+                });
+
+    for (const std::unique_ptr<Plan>& plan : plans) {
+      ServeResponse response = IsScanOp(plan->request->op)
+                                   ? MergeScan(*plan)
+                                   : std::move(plan->point);
+      response.trace.cache_us = plan->cache_us;
+      if (cache != nullptr) cache->Insert(plan->cache_key, response);
+      FinishQuery(*plan->request, &response);
+      *plan->out = std::move(response);
+    }
   }
 };
 
@@ -615,123 +601,15 @@ QueryEngine::~QueryEngine() = default;
 size_t QueryEngine::threads() const { return impl_->Threads(); }
 
 ServeResponse QueryEngine::Run(const ServeRequest& request) {
-  WARP_COUNT(obs::Counter::kServeRequests);
-  std::shared_ptr<const StoredDataset> snapshot;
-  ServeResponse failure;
-  if (!impl_->Resolve(request, &snapshot, &failure)) return failure;
-  Impl::ExecContext ctx;
-  ctx.pool = impl_->pool.get();
-  return impl_->RunOne(request, snapshot, ctx);
+  ServeResponse response;
+  impl_->Answer({&request, 1}, &response);
+  return response;
 }
 
 void QueryEngine::RunBatch(const std::vector<ServeRequest>& requests,
                            std::vector<ServeResponse>* responses) {
   responses->assign(requests.size(), ServeResponse{});
-
-  // Group request indexes by dataset, first-appearance order, so each
-  // group resolves its snapshot once and scans it back to back (shared
-  // index, warm cache lines across the group's queries).
-  std::vector<std::pair<std::string, std::vector<size_t>>> groups;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    WARP_COUNT(obs::Counter::kServeRequests);
-    bool found = false;
-    for (auto& [name, members] : groups) {
-      if (name == requests[i].dataset) {
-        members.push_back(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) groups.push_back({requests[i].dataset, {i}});
-  }
-
-  for (const auto& [name, members] : groups) {
-    WARP_COUNT(obs::Counter::kServeBatches);
-    WARP_COUNT_ADD(obs::Counter::kServeBatchedQueries, members.size());
-    // Validate each member against the snapshot it resolved — a
-    // concurrent re-registration mid-group must not let a request
-    // validated against one epoch execute against another.
-    std::vector<std::pair<size_t, std::shared_ptr<const StoredDataset>>>
-        runnable;
-    for (const size_t i : members) {
-      std::shared_ptr<const StoredDataset> snap;
-      ServeResponse failure;
-      if (!impl_->Resolve(requests[i], &snap, &failure)) {
-        (*responses)[i] = std::move(failure);
-        continue;
-      }
-      runnable.emplace_back(i, std::move(snap));
-    }
-    if (runnable.empty()) continue;
-
-    if (impl_->pool == nullptr) {
-      Impl::ExecContext ctx;  // Serial engine: scan inline, slot 0.
-      for (const auto& [r, snap] : runnable) {
-        (*responses)[r] = impl_->RunOne(requests[r], snap, ctx);
-      }
-      continue;
-    }
-
-    // Pooled path: answer cache hits and single-series ops inline, build
-    // a ScanPlan per uncached scan, then flatten every plan's chunks into
-    // ONE work list — the pool stays saturated regardless of how the
-    // batch divides into requests (a batch of 2 big scans and 30 tiny
-    // ones fans out as well as 32 equal ones). Chunk boundaries, merges,
-    // and pruning rules are exactly those of the single-request path, so
-    // every response is bitwise-identical to Run() on its own.
-    std::vector<std::unique_ptr<Impl::ScanPlan>> plans;
-    for (const auto& [r, snap] : runnable) {
-      const ServeRequest& request = requests[r];
-      const std::string key = CacheKey(request, snap->epoch);
-      const Stopwatch lookup;
-      ServeResponse hit;
-      if (impl_->cache != nullptr && impl_->cache->Lookup(key, &hit)) {
-        hit.id = request.id;
-        hit.trace.from_cache = true;
-        hit.trace.cache_us = lookup.ElapsedMicros();
-        impl_->FinishQuery(request, &hit);
-        (*responses)[r] = std::move(hit);
-        continue;
-      }
-      const double cache_us =
-          impl_->cache != nullptr ? lookup.ElapsedMicros() : 0.0;
-      if (IsScanOp(request.op)) {
-        std::unique_ptr<Impl::ScanPlan> plan =
-            impl_->PrepareScan(request, *snap);
-        plan->slot = r;
-        plan->cache_key = key;
-        plan->cache_us = cache_us;
-        plans.push_back(std::move(plan));
-      } else {
-        Impl::ExecContext ctx;
-        ctx.pool = impl_->pool.get();
-        ServeResponse response = impl_->Execute(request, *snap, ctx);
-        response.trace.cache_us = cache_us;
-        if (impl_->cache != nullptr) {
-          impl_->cache->Insert(key, response);
-        }
-        impl_->FinishQuery(request, &response);
-        (*responses)[r] = std::move(response);
-      }
-    }
-    if (plans.empty()) continue;
-
-    std::vector<Impl::ScanUnit> units;
-    for (const std::unique_ptr<Impl::ScanPlan>& plan : plans) {
-      Impl::AppendUnits(plan.get(), &units);
-    }
-    Impl::ExecContext scan_ctx;
-    scan_ctx.pool = impl_->pool.get();
-    impl_->RunUnits(units, scan_ctx);
-    for (const std::unique_ptr<Impl::ScanPlan>& plan : plans) {
-      ServeResponse response = impl_->MergeScan(*plan);
-      if (impl_->cache != nullptr) {
-        impl_->cache->Insert(plan->cache_key, response);
-      }
-      impl_->FinishQuery(*plan->request, &response);
-      (*responses)[plan->slot] = std::move(response);
-    }
-  }
+  impl_->Answer(requests, responses->data());
 }
 
 }  // namespace serve

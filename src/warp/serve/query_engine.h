@@ -16,11 +16,11 @@
 // any thread count — pruning thresholds only decide how much work is
 // skipped, never which candidate wins.
 //
-// Deadlines: a request with deadline_ms > 0 carries a wall-clock budget.
-// When it expires mid-scan the remaining candidates are skipped and the
-// response is flagged `partial` with `scanned`/`total` counts — a
-// degraded-but-honest answer instead of a blocked worker. Partial
-// responses never enter the result cache.
+// Deadlines: a request with deadline_ms > 0 carries a wall-clock budget,
+// counted from when its batch plans it. When it expires mid-scan the
+// remaining candidates are skipped and the response is flagged `partial`
+// with `scanned`/`total` counts — a degraded-but-honest answer instead of
+// a blocked worker. Partial responses never enter the result cache.
 
 #ifndef WARP_SERVE_QUERY_ENGINE_H_
 #define WARP_SERVE_QUERY_ENGINE_H_
@@ -52,17 +52,21 @@ class QueryEngine {
 
   size_t threads() const;
 
-  // Answers one request (cache probe -> execute -> cache insert). Always
-  // returns a response with the request's id; failures set ok=false and
-  // `error`. Must be called from one orchestrating thread at a time (the
-  // batcher serializes callers).
+  // Answers one request as a batch of one, through the same code as
+  // RunBatch. Always returns a response with the request's id; failures
+  // set ok=false and `error`. Must be called from one orchestrating
+  // thread at a time (the batcher serializes callers).
   ServeResponse Run(const ServeRequest& request);
 
-  // Answers a batch. Requests are grouped by dataset so each group
-  // resolves its snapshot once; groups with more than one uncached
-  // request fan out request-per-chunk over the pool (each request scans
-  // serially), single requests fan out candidate-chunks. Either path
-  // yields bitwise-identical responses to Run() on each request alone.
+  // Answers a batch in three steps. (1) In request order, resolve each
+  // request, probe the cache, and plan each miss. (2) Run every plan's
+  // units as one work list over the pool: a scan contributes its fixed
+  // 8-candidate chunks, a dist or subsequence one unit. (3) In request
+  // order, merge, insert into the cache and record telemetry. Every probe
+  // precedes every insert, so a batch reads the cache as it stood when
+  // the batch began; a duplicate inside a batch is computed, not served
+  // from its twin. Each response is bitwise-identical to Run() on its
+  // request alone, at any thread count.
   // Virtual so a test engine can hold a batch in flight.
   virtual void RunBatch(const std::vector<ServeRequest>& requests,
                         std::vector<ServeResponse>* responses);

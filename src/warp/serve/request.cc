@@ -1,5 +1,7 @@
 #include "warp/serve/request.h"
 
+#include <algorithm>
+
 namespace warp {
 namespace serve {
 

@@ -8,12 +8,12 @@
 #ifndef WARP_SERVE_REQUEST_H_
 #define WARP_SERVE_REQUEST_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "warp/core/measure.h"
+#include "warp/core/neighbor.h"
 #include "warp/obs/histogram.h"
 
 namespace warp {
@@ -79,29 +79,9 @@ struct ServeRequest {
   uint64_t require_epoch = 0;
 };
 
-struct Neighbor {
-  size_t index = 0;
-  int label = 0;
-  double distance = 0.0;
-};
-
-// (distance, index) lexicographic order: the scan's total order. Ties on
-// distance go to the earlier series, matching a serial first-wins scan.
-inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
-}
-
-// Inserts `n` into `hits` (sorted by NeighborLess, at most k long),
-// keeping the k smallest. Inline: it runs once per surviving candidate.
-inline void AddTopK(std::vector<Neighbor>* hits, const Neighbor& n,
-                    size_t k) {
-  const auto pos =
-      std::lower_bound(hits->begin(), hits->end(), n, NeighborLess);
-  if (hits->size() == k && pos == hits->end()) return;
-  hits->insert(pos, n);
-  if (hits->size() > k) hits->pop_back();
-}
+// One scan answer (warp/core/neighbor.h), named serve::Neighbor on the
+// serving side.
+using warp::Neighbor;
 
 // The one neighbor merge, for the engine's chunk gather and the router's
 // shard gather: range hits concatenate and sort by index; 1nn/knn keep the

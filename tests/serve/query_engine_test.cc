@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <string>
@@ -40,6 +41,24 @@ std::vector<double> ReferenceDistances(const StoredDataset& stored,
     distances[i] = measure(query, stored.SeriesAt(i).view());
   }
   return distances;
+}
+
+// Everything a reply answers, doubles as hexfloats so a mismatch shows
+// the bits; the id and the stage trace are left out.
+std::string Digest(const ServeResponse& response) {
+  std::string out = response.ok ? "ok" : "error: " + response.error;
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer), " d=%a p=%zu scanned=%llu/%llu",
+                response.distance, response.position,
+                static_cast<unsigned long long>(response.scanned),
+                static_cast<unsigned long long>(response.total));
+  out += buffer;
+  for (const Neighbor& n : response.neighbors) {
+    std::snprintf(buffer, sizeof(buffer), " %zu:%d:%a", n.index, n.label,
+                  n.distance);
+    out += buffer;
+  }
+  return out;
 }
 
 // Indices sorted by the engine's total order (distance, index).
@@ -268,6 +287,43 @@ TEST_F(QueryEngineTest, MixedBatchEqualsSerialRuns) {
                   expected[i].neighbors[n].distance);
       }
       EXPECT_EQ(responses[i].distance, expected[i].distance);
+    }
+  }
+}
+
+// A batch reads the cache as it stood when the batch began: the in-batch
+// duplicates of [1nn A, knn B, 1nn A, dist D, dist D] are computed at
+// every thread count, and repeating the batch answers all five from the
+// cache. Cached or computed, every reply equals the uncached engine's.
+TEST_F(QueryEngineTest, BatchReadsTheCacheAsOfItsStart) {
+  ServeRequest knn = Request(QueryOp::kKnn);
+  knn.k = 3;
+  knn.query = gen::RandomWalkDataset(1, kLength, 78)[0].values();
+  ServeRequest dist = Request(QueryOp::kDist);
+  dist.index = 7;
+  const std::vector<ServeRequest> batch = {Request(QueryOp::k1Nn), knn,
+                                           Request(QueryOp::k1Nn), dist,
+                                           dist};
+
+  QueryEngine uncached(&store_, nullptr, 1);
+  std::vector<ServeResponse> expected;
+  uncached.RunBatch(batch, &expected);
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ResultCache cache(16);
+    QueryEngine engine(&store_, &cache, threads);
+    for (const bool repeat : {false, true}) {
+      SCOPED_TRACE(repeat ? "repeated batch" : "first batch");
+      std::vector<ServeResponse> responses;
+      engine.RunBatch(batch, &responses);
+      ASSERT_EQ(responses.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        ASSERT_TRUE(responses[i].ok) << responses[i].error;
+        EXPECT_EQ(Digest(responses[i]), Digest(expected[i]));
+        EXPECT_EQ(responses[i].trace.from_cache, repeat);
+      }
     }
   }
 }

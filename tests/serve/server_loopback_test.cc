@@ -4,7 +4,11 @@
 
 #include "warp/serve/server.h"
 
+#include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -204,6 +208,38 @@ TEST(ServerLoopbackTest, MalformedLinesGetErrorResponses) {
   EXPECT_EQ(responses[1].NumberOr("id", -1), 9.0);
   EXPECT_NE(responses[1].StringOr("error", "").find("unknown dataset"),
             std::string::npos);
+}
+
+// Descriptors this process holds open (Linux); -1 elsewhere.
+long OpenDescriptors() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/fd", error);
+  if (error) return -1;
+  return std::distance(it, std::filesystem::directory_iterator());
+}
+
+// A finished connection gives back its descriptor and thread: 200
+// sequential connect -> ping -> close cycles leave the server's open
+// descriptors where they started, not one higher per connection.
+TEST(ServerLoopbackTest, FinishedConnectionsReleaseTheirDescriptors) {
+  LiveServer live(1);
+  const long before = OpenDescriptors();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/fd on this platform";
+  for (int i = 0; i < 200; ++i) {
+    std::string error;
+    TcpConn conn = ConnectLoopback(live.server().port(), &error);
+    ASSERT_TRUE(conn.valid()) << error;
+    ASSERT_TRUE(conn.WriteAll(R"({"id": 1, "op": "ping"})" "\n"));
+    std::string line;
+    ASSERT_TRUE(conn.ReadLine(&line)) << "connection " << i;
+  }
+  long open = OpenDescriptors();
+  for (int waited_ms = 0; open > before + 2 && waited_ms < 2000;
+       waited_ms += 20) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open = OpenDescriptors();
+  }
+  EXPECT_LE(open, before + 2);
 }
 
 TEST(ServerLoopbackTest, ShutdownOpStopsTheServeLoop) {

@@ -178,6 +178,24 @@ TEST_F(CliTest, MeasuresJsonListsTheRegistry) {
   }
 }
 
+// A numeric serving flag that is not a whole integer in range exits 2
+// before any input is touched; the missing input would exit 1 instead.
+TEST_F(CliTest, ServeRejectsNonNumericThreads) {
+  int code = 0;
+  RunCommand(std::string(WARP_CLI_PATH) +
+                 " serve --threads=abc --data=x=/nonexistent",
+             &code);
+  EXPECT_EQ(code, 2);
+}
+
+TEST_F(CliTest, ClusterRejectsOutOfRangePort) {
+  int code = 0;
+  RunCommand(std::string(WARP_CLI_PATH) +
+                 " cluster --port=70000 --worker-bin=/nonexistent",
+             &code);
+  EXPECT_EQ(code, 2);
+}
+
 TEST_F(CliTest, UnknownCommandFails) {
   int code = 0;
   RunCommand(std::string(WARP_CLI_PATH) + " frobnicate", &code);

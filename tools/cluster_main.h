@@ -21,12 +21,14 @@
 //   --restart-backoff-ms=N      first restart delay (default 200)
 //   --restart-backoff-max-ms=N  backoff ceiling (default 5000)
 //   --ping-interval-ms=N  worker liveness ping cadence; 0 disables
+//
+// A numeric flag that is not a whole integer in its range (--port at most
+// 65535, --shards at least 1, the rest at least 0) exits 2.
 
 #ifndef WARP_TOOLS_CLUSTER_MAIN_H_
 #define WARP_TOOLS_CLUSTER_MAIN_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "serve_main.h"
@@ -53,41 +55,40 @@ inline int ClusterToolMain(const ToolFlags& flags,
   cluster::RouterOptions router_options;
   sup.worker_binary = default_worker_binary;
   for (const auto& [key, value] : flags) {
+    bool valid = true;
     if (key == "shards") {
-      long n = 0;
-      if (!ParseCountFlag("warp_cluster", key, value, 1, &n)) return 2;
-      sup.shards = static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_cluster", key, value, 1, &sup.shards);
     } else if (key == "snapshot-dir") {
       sup.snapshot_dir = value;
     } else if (key == "port") {
-      router_options.port =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      valid = ParseCountFlag("warp_cluster", key, value, 0,
+                             &router_options.port, 65535);
     } else if (key == "threads") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      sup.threads = n < 0 ? 0 : static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_cluster", key, value, 0, &sup.threads);
     } else if (key == "cache") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      sup.cache_capacity = n < 0 ? 0 : static_cast<size_t>(n);
+      valid =
+          ParseCountFlag("warp_cluster", key, value, 0, &sup.cache_capacity);
     } else if (key == "max-queue-depth") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      sup.max_queue_depth = n < 0 ? 0 : static_cast<size_t>(n);
+      valid =
+          ParseCountFlag("warp_cluster", key, value, 0, &sup.max_queue_depth);
     } else if (key == "worker-bin") {
       sup.worker_binary = value;
     } else if (key == "restart-backoff-ms") {
-      sup.restart_backoff_ms =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      valid = ParseCountFlag("warp_cluster", key, value, 0,
+                             &sup.restart_backoff_ms);
     } else if (key == "restart-backoff-max-ms") {
-      sup.restart_backoff_max_ms =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      valid = ParseCountFlag("warp_cluster", key, value, 0,
+                             &sup.restart_backoff_max_ms);
     } else if (key == "ping-interval-ms") {
-      sup.ping_interval_ms =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      valid =
+          ParseCountFlag("warp_cluster", key, value, 0, &sup.ping_interval_ms);
     } else if (key == "profile") {
       // Tolerated for the warp_cli front door, like `warp_cli serve`.
     } else {
       std::fprintf(stderr, "warp_cluster: unknown flag --%s\n", key.c_str());
       return 1;
     }
+    if (!valid) return 2;
   }
 
   cluster::Supervisor supervisor(sup);

@@ -8,8 +8,7 @@
 //   --port=N        listen port (default 0 = kernel-assigned; the bound
 //                   port is printed on the "listening" line)
 //   --threads=N     query-engine workers (default 1; 0 = all cores)
-//   --shards=N      store shards per dataset (default 1; must be a
-//                   positive integer — anything else exits 2)
+//   --shards=N      store shards per dataset (default 1)
 //   --cache=N       result-cache capacity in entries (default 256; 0 off)
 //   --bands=F,F     window fractions indexed per dataset (default .05,.1)
 //   --data=NAME=PATH         load a UCR file (repeatable)
@@ -25,12 +24,16 @@
 //                   "Multi-process cluster")
 //   --simd=MODE     SIMD kernel dispatch: on | off | auto (default auto;
 //                   docs/SIMD.md)
+//
+// A numeric flag that is not a whole integer in its range (--port at most
+// 65535, --shards at least 1, the rest at least 0) exits 2.
 
 #ifndef WARP_TOOLS_SERVE_MAIN_H_
 #define WARP_TOOLS_SERVE_MAIN_H_
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,20 +65,25 @@ inline ToolFlags ParseToolFlags(int argc, char** argv, int start) {
   return flags;
 }
 
-// A whole-string integer flag value of at least `min` (0 or 1). Anything
-// else is a misconfiguration the operator must see: it prints
-// "<tool>: invalid --<key>=<value> (...)" and returns false (exit 2).
-inline bool ParseCountFlag(const char* tool, const std::string& key,
-                           const std::string& value, long min, long* out) {
+// A whole-string integer flag value in [min, max], stored into the
+// option *out. Anything else is a misconfiguration the operator must see:
+// it prints "<tool>: invalid --<key>=<value> (...)" and returns false
+// (exit 2).
+template <typename T>
+bool ParseCountFlag(const char* tool, const std::string& key,
+                    const std::string& value, long min, T* out,
+                    long max = std::numeric_limits<int>::max()) {
   char* end = nullptr;
   const long n = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0' || n < min) {
-    std::fprintf(stderr, "%s: invalid --%s=%s (expected a %s integer)\n",
-                 tool, key.c_str(), value.c_str(),
-                 min > 0 ? "positive" : "non-negative");
+  if (value.empty() || end == nullptr || *end != '\0' || n < min ||
+      n > max) {
+    std::fprintf(stderr,
+                 "%s: invalid --%s=%s (expected an integer from %ld to "
+                 "%ld)\n",
+                 tool, key.c_str(), value.c_str(), min, max);
     return false;
   }
-  *out = n;
+  *out = static_cast<T>(n);
   return true;
 }
 
@@ -102,29 +110,27 @@ inline int ServeToolMain(const ToolFlags& flags) {
   bool worker_mode = false;
   long worker_shard_id = 0;
   for (const auto& [key, value] : flags) {
+    // Numeric flags shape the process (its port, threads, partition and
+    // queues); a typo silently coerced to some default would be a
+    // misconfiguration the operator never sees.
+    bool valid = true;
     if (key == "port") {
-      options.port = static_cast<uint16_t>(std::strtol(value.c_str(), nullptr, 10));
+      valid = ParseCountFlag("warp_serve", key, value, 0, &options.port,
+                             65535);
     } else if (key == "threads") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      options.threads = n < 0 ? 0 : static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_serve", key, value, 0, &options.threads);
     } else if (key == "shards" || key == "shard-count") {
-      // Shard count shapes the store's partition; a typo silently
-      // coerced to 1 would be a misconfiguration the operator never sees.
-      long n = 0;
-      if (!ParseCountFlag("warp_serve", key, value, 1, &n)) return 2;
-      options.shards = static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_serve", key, value, 1, &options.shards);
     } else if (key == "cache") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      options.cache_capacity = n < 0 ? 0 : static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_serve", key, value, 0,
+                             &options.cache_capacity);
     } else if (key == "max-queue-depth") {
-      const long n = std::strtol(value.c_str(), nullptr, 10);
-      options.max_queue_depth = n < 0 ? 0 : static_cast<size_t>(n);
+      valid = ParseCountFlag("warp_serve", key, value, 0,
+                             &options.max_queue_depth);
     } else if (key == "worker") {
       worker_mode = true;
     } else if (key == "shard-id") {
-      if (!ParseCountFlag("warp_serve", key, value, 0, &worker_shard_id)) {
-        return 2;
-      }
+      valid = ParseCountFlag("warp_serve", key, value, 0, &worker_shard_id);
     } else if (key == "bands") {
       options.band_fractions = ParseFractionList(value);
     } else if (key == "data") {
@@ -156,6 +162,7 @@ inline int ServeToolMain(const ToolFlags& flags) {
       std::fprintf(stderr, "warp_serve: unknown flag --%s\n", key.c_str());
       return 1;
     }
+    if (!valid) return 2;
   }
 
   if (worker_mode) {
