@@ -109,12 +109,12 @@ double RunCascade(const Dataset& train, const Dataset& test, size_t band,
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 315));
-  const size_t train_size = static_cast<size_t>(flags.GetInt("train", 64));
-  const size_t test_size = static_cast<size_t>(flags.GetInt("test", 32));
+  const size_t length = flags.GetCount("length", 315, 1);
+  const size_t train_size = flags.GetCount("train", 64, 1);
+  const size_t test_size = flags.GetCount("test", 32, 1);
   const size_t band_percent =
-      static_cast<size_t>(flags.GetInt("band-percent", 10));
-  const int reps = static_cast<int>(flags.GetInt("reps", 200));
+      static_cast<size_t>(flags.GetInt("band-percent", 10, 0, 100));
+  const int reps = static_cast<int>(flags.GetCount("reps", 200, 1));
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

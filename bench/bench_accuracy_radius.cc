@@ -34,8 +34,8 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int pairs = static_cast<int>(flags.GetInt("pairs", 30));
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 300));
+  const int pairs = static_cast<int>(flags.GetCount("pairs", 30, 1));
+  const size_t length = flags.GetCount("length", 300, 1);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

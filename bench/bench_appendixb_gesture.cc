@@ -32,13 +32,12 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t channels = static_cast<size_t>(flags.GetInt("channels", 6));
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 120));
-  const int classes = static_cast<int>(flags.GetInt("classes", 8));
-  const size_t per_class_train =
-      static_cast<size_t>(flags.GetInt("train", 6));
-  const size_t per_class_test = static_cast<size_t>(flags.GetInt("test", 4));
-  const size_t radius = static_cast<size_t>(flags.GetInt("radius", 30));
+  const size_t channels = flags.GetCount("channels", 6, 1);
+  const size_t length = flags.GetCount("length", 120, 1);
+  const int classes = static_cast<int>(flags.GetCount("classes", 8, 1));
+  const size_t per_class_train = flags.GetCount("train", 6, 1);
+  const size_t per_class_test = flags.GetCount("test", 4, 1);
+  const size_t radius = flags.GetCount("radius", 30);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
 
@@ -60,9 +59,9 @@ int Main(int argc, char** argv) {
   gen::GestureOptions options;
   options.length = length;
   options.num_classes = classes;
-  options.warp_fraction = flags.GetDouble("warp", 0.08);
-  options.noise_stddev = flags.GetDouble("noise", 0.15);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 555));
+  options.warp_fraction = flags.GetDouble("warp", 0.08, 0.0);
+  options.noise_stddev = flags.GetDouble("noise", 0.15, 0.0);
+  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 555, 0));
   SimdFlag(flags);
   flags.Finalize();
   report.AddConfig("warp", options.warp_fraction);

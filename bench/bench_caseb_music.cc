@@ -31,10 +31,10 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 24000));
-  const int reps = static_cast<int>(flags.GetInt("reps", 10));
-  const int ref_reps = static_cast<int>(flags.GetInt("ref-reps", 1));
-  const int warmup = static_cast<int>(flags.GetInt("warmup", 1));
+  const size_t length = flags.GetCount("length", 24000, 1);
+  const int reps = static_cast<int>(flags.GetCount("reps", 10, 1));
+  const int ref_reps = static_cast<int>(flags.GetCount("ref-reps", 1));
+  const int warmup = static_cast<int>(flags.GetCount("warmup", 1));
   const bool skip_reference = flags.GetBool("skip-reference", false);
   const bool ref_r40 = flags.GetBool("ref-r40", false);
   const size_t threads = SingleCoreThreadsFlag(flags);

@@ -49,13 +49,12 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t exemplars = static_cast<size_t>(flags.GetInt("exemplars", 32));
-  const size_t ref_exemplars =
-      static_cast<size_t>(flags.GetInt("ref-exemplars", 8));
-  const size_t total = static_cast<size_t>(flags.GetInt("total", 896));
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 945));
-  const int step = static_cast<int>(flags.GetInt("step", 4));
-  const int max_setting = static_cast<int>(flags.GetInt("max", 20));
+  const size_t exemplars = flags.GetCount("exemplars", 32, 1);
+  const size_t ref_exemplars = flags.GetCount("ref-exemplars", 8);
+  const size_t total = flags.GetCount("total", 896, 1);
+  const size_t length = flags.GetCount("length", 945, 1);
+  const int step = static_cast<int>(flags.GetCount("step", 4, 1));
+  const int max_setting = static_cast<int>(flags.GetCount("max", 20));
   const size_t threads = ThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

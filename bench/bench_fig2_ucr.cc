@@ -26,8 +26,8 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int bins_w = static_cast<int>(flags.GetInt("bins-w", 11));
-  const int bins_len = static_cast<int>(flags.GetInt("bins-len", 15));
+  const int bins_w = static_cast<int>(flags.GetCount("bins-w", 11, 1));
+  const int bins_len = static_cast<int>(flags.GetCount("bins-len", 15, 1));
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

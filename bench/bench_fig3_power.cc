@@ -51,8 +51,8 @@ std::string Sparkline(std::span<const double> values, size_t width) {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 450));
-  const size_t shift = static_cast<size_t>(flags.GetInt("shift", 153));
+  const size_t length = flags.GetCount("length", 450, 1);
+  const size_t shift = flags.GetCount("shift", 153);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

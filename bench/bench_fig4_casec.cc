@@ -33,13 +33,12 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t exemplars = static_cast<size_t>(flags.GetInt("exemplars", 40));
-  const size_t ref_exemplars =
-      static_cast<size_t>(flags.GetInt("ref-exemplars", 10));
-  const size_t total = static_cast<size_t>(flags.GetInt("total", 1000));
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 450));
-  const int step = static_cast<int>(flags.GetInt("step", 8));
-  const int max_setting = static_cast<int>(flags.GetInt("max", 40));
+  const size_t exemplars = flags.GetCount("exemplars", 40, 1);
+  const size_t ref_exemplars = flags.GetCount("ref-exemplars", 10);
+  const size_t total = flags.GetCount("total", 1000, 1);
+  const size_t length = flags.GetCount("length", 450, 1);
+  const int step = static_cast<int>(flags.GetCount("step", 8, 1));
+  const int max_setting = static_cast<int>(flags.GetCount("max", 40));
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

@@ -30,10 +30,10 @@ namespace {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int reps = static_cast<int>(flags.GetInt("reps", 20));
-  const int ref_reps = static_cast<int>(flags.GetInt("ref-reps", 1));
-  const size_t radius = static_cast<size_t>(flags.GetInt("radius", 40));
-  const double max_seconds = flags.GetDouble("max-seconds", 64.0);
+  const int reps = static_cast<int>(flags.GetCount("reps", 20, 1));
+  const int ref_reps = static_cast<int>(flags.GetCount("ref-reps", 1));
+  const size_t radius = flags.GetCount("radius", 40);
+  const double max_seconds = flags.GetDouble("max-seconds", 64.0, 0.0);
   const bool skip_reference = flags.GetBool("skip-reference", false);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);

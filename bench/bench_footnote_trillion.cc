@@ -39,10 +39,10 @@ constexpr double kSecondsPerDay = 24 * 3600;
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int reps = static_cast<int>(flags.GetInt("reps", 2000));
-  const size_t haystack_len =
-      static_cast<size_t>(flags.GetInt("haystack", 200000));
-  const size_t query_len = static_cast<size_t>(flags.GetInt("query", 128));
+  const int reps = static_cast<int>(flags.GetCount("reps", 2000, 1));
+  const size_t query_len = flags.GetCount("query", 128, 1);
+  // The search needs at least one full window of the query.
+  const size_t haystack_len = flags.GetCount("haystack", 200000, query_len);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

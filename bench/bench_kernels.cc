@@ -15,12 +15,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "warp/common/flags.h"
 #include "warp/core/dtw.h"
 #include "warp/core/envelope.h"
 #include "warp/core/fastdtw.h"
@@ -236,35 +234,23 @@ BENCHMARK(BM_HeadToHead_FastDtw10)->Arg(128)->Arg(450)->Arg(945)->Arg(4000);
 }  // namespace
 }  // namespace warp
 
-// Hand-rolled main instead of BENCHMARK_MAIN(): rewrite --json=<path>
-// into the native output flags, consume --simd=<mode> ourselves (the
-// google-benchmark parser would reject it), pass everything else through.
+// Hand-rolled main instead of BENCHMARK_MAIN(): read --json=<path> and
+// --simd=<mode> through warp::Flags, rewrite --json into the native output
+// flags, and hand every other argument to google-benchmark's parser.
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      args.push_back(std::string("--benchmark_out=") + (arg + 7));
-      args.push_back("--benchmark_out_format=json");
-    } else if (std::strncmp(arg, "--simd=", 7) == 0) {
-      warp::simd::SimdMode mode;
-      if (!warp::simd::ParseSimdMode(arg + 7, &mode)) {
-        std::fprintf(stderr,
-                     "error: invalid --simd=%s (expected on, off, or auto)\n",
-                     arg + 7);
-        return 2;
-      }
-      warp::simd::SetSimdMode(mode);
-    } else {
-      args.push_back(arg);
-    }
+  warp::Flags flags(argc, argv);
+  const std::string json_path = flags.GetString("json", "");
+  warp::simd::SimdFlag(flags);
+  std::vector<std::string> args = flags.TakeUnread();
+  if (!json_path.empty()) {
+    args.push_back("--benchmark_out=" + json_path);
+    args.push_back("--benchmark_out_format=json");
   }
-  std::vector<char*> argv2;
-  argv2.reserve(args.size());
+  std::vector<char*> argv2 = {argv[0]};
   for (std::string& arg : args) argv2.push_back(arg.data());
   int argc2 = static_cast<int>(argv2.size());
   benchmark::Initialize(&argc2, argv2.data());
-  if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -124,13 +124,12 @@ void RunDomain(obs::BenchReport& report, const char* domain,
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 128));
-  const size_t per_class_train =
-      static_cast<size_t>(flags.GetInt("train", 6));
-  const size_t per_class_test = static_cast<size_t>(flags.GetInt("test", 10));
-  const int classes = static_cast<int>(flags.GetInt("classes", 6));
-  const double warp = flags.GetDouble("warp", 0.1);
-  const double noise = flags.GetDouble("noise", 0.45);
+  const size_t length = flags.GetCount("length", 128, 1);
+  const size_t per_class_train = flags.GetCount("train", 6, 1);
+  const size_t per_class_test = flags.GetCount("test", 10, 1);
+  const int classes = static_cast<int>(flags.GetCount("classes", 6, 1));
+  const double warp = flags.GetDouble("warp", 0.1, 0.0);
+  const double noise = flags.GetDouble("noise", 0.45, 0.0);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   const simd::SimdMode simd_mode = SimdFlag(flags);

@@ -70,25 +70,22 @@ int Run(int argc, char** argv) {
   // Default workload: many cheap queries — the regime a serving layer is
   // for, and the one where per-request round-trip overhead (what batching
   // removes) is visible next to kernel compute.
-  const size_t series = static_cast<size_t>(flags.GetInt("series", 100));
-  const size_t length = static_cast<size_t>(flags.GetInt("length", 64));
-  const size_t queries = static_cast<size_t>(flags.GetInt("queries", 1024));
-  const size_t clients = static_cast<size_t>(flags.GetInt("clients", 8));
+  const size_t series = flags.GetCount("series", 100, 1);
+  const size_t length = flags.GetCount("length", 64, 1);
+  const size_t queries = flags.GetCount("queries", 1024, 1);
+  const size_t clients = flags.GetCount("clients", 8, 1);
   // Serving is the one harness whose natural configuration is parallel:
   // default to all cores (the paper-faithful --threads=1 default elsewhere
   // would measure the batcher against a serial engine, where coalescing
   // has nothing to win).
-  const int64_t threads_flag = flags.GetInt("threads", 0);
-  const size_t threads = threads_flag <= 0 ? DefaultThreadCount()
-                                           : static_cast<size_t>(threads_flag);
-  const double window = flags.GetDouble("window", 0.05);
-  const size_t cache_capacity =
-      static_cast<size_t>(flags.GetInt("cache", 4096));
+  size_t threads = flags.GetCount("threads", 0);
+  if (threads == 0) threads = DefaultThreadCount();
+  const double window = flags.GetDouble("window", 0.05, 0.0, 1.0);
+  const size_t cache_capacity = flags.GetCount("cache", 4096);
   // Each case runs `repeats` times and reports its fastest run: the
   // shared-machine noise this harness sees is strictly additive, so the
   // minimum is the least-contaminated estimate of every case.
-  const size_t repeats =
-      std::max<size_t>(1, static_cast<size_t>(flags.GetInt("repeats", 3)));
+  const size_t repeats = flags.GetCount("repeats", 3, 1);
   const std::string json_path = bench::JsonFlag(flags);
   bench::SimdFlag(flags);
   flags.Finalize();

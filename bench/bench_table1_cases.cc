@@ -41,7 +41,7 @@ struct CaseSpec {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int reps = static_cast<int>(flags.GetInt("reps", 5));
+  const int reps = static_cast<int>(flags.GetCount("reps", 5, 1));
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

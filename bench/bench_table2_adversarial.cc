@@ -45,7 +45,7 @@ double MeanPathDirection(const WarpingPath& path) {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const size_t radius = static_cast<size_t>(flags.GetInt("radius", 20));
+  const size_t radius = flags.GetCount("radius", 20);
   const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);

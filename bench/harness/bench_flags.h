@@ -1,115 +1,32 @@
-// Minimal --key=value flag parsing for the experiment harnesses.
-//
-// Every bench binary accepts scaling flags (sample sizes, repetition
-// counts) so the full paper-scale sweeps can be run on bigger hardware
-// while the defaults finish in seconds on a laptop. Malformed arguments
-// abort immediately; unknown (unconsumed) flags abort from Finalize(),
-// which every binary calls after reading its flags and before doing any
-// work — so typos never silently run the default configuration.
+// The shared flags of the experiment harnesses, on warp::Flags
+// (warp/common/flags.h). Every bench binary accepts scaling flags (sample
+// sizes, repetition counts) so the paper-scale sweeps can run on bigger
+// hardware while the defaults finish in seconds; each calls Finalize()
+// before any work, so a typo never silently runs the default configuration.
 
 #ifndef WARP_BENCH_HARNESS_BENCH_FLAGS_H_
 #define WARP_BENCH_HARNESS_BENCH_FLAGS_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <set>
 #include <string>
 
+#include "warp/common/flags.h"
 #include "warp/common/parallel.h"
 #include "warp/simd/dispatch.h"
 
 namespace warp {
 namespace bench {
 
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      arg = arg.substr(2);
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "true";
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  ~Flags() {
-    // Backstop for binaries that forgot to call Finalize(): still warn so
-    // a typo is at least visible, even though the run already happened.
-    for (const auto& [key, value] : values_) {
-      if (consumed_.count(key) == 0) {
-        std::fprintf(stderr, "warning: unknown flag --%s=%s ignored\n",
-                     key.c_str(), value.c_str());
-      }
-    }
-  }
-
-  int64_t GetInt(const std::string& name, int64_t default_value) {
-    consumed_.insert(name);
-    const auto it = values_.find(name);
-    return it == values_.end() ? default_value
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
-  double GetDouble(const std::string& name, double default_value) {
-    consumed_.insert(name);
-    const auto it = values_.find(name);
-    return it == values_.end() ? default_value
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
-  bool GetBool(const std::string& name, bool default_value) {
-    consumed_.insert(name);
-    const auto it = values_.find(name);
-    if (it == values_.end()) return default_value;
-    return it->second != "false" && it->second != "0";
-  }
-
-  std::string GetString(const std::string& name,
-                        const std::string& default_value) {
-    consumed_.insert(name);
-    const auto it = values_.find(name);
-    return it == values_.end() ? default_value : it->second;
-  }
-
-  // Exits(2) if any provided flag was never consumed by a Get*() call.
-  // Call after reading every flag and before the measurement loop, so a
-  // typo fails fast instead of after minutes of benchmarking.
-  void Finalize() {
-    bool ok = true;
-    for (const auto& [key, value] : values_) {
-      if (consumed_.count(key) == 0) {
-        std::fprintf(stderr, "error: unknown flag --%s=%s\n", key.c_str(),
-                     value.c_str());
-        ok = false;
-      }
-    }
-    if (!ok) std::exit(2);
-    finalized_ = true;
-  }
-
-  bool finalized() const { return finalized_; }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> consumed_;
-  bool finalized_ = false;
-};
+using Flags = ::warp::Flags;
+// Shared --simd=on|off|auto flag (docs/SIMD.md).
+using simd::SimdFlag;
 
 // Shared --threads flag. Default 1 keeps every harness paper-faithful
 // (single core); --threads=0 means auto (WARP_THREADS env, else
 // hardware_concurrency); --threads=N uses N pool workers.
 inline size_t ThreadsFlag(Flags& flags) {
-  const int64_t value = flags.GetInt("threads", 1);
-  return value <= 0 ? DefaultThreadCount() : static_cast<size_t>(value);
+  const size_t value = flags.GetCount("threads", 1);
+  return value == 0 ? DefaultThreadCount() : value;
 }
 
 // Shared --threads handling for the harnesses that measure single-core by
@@ -132,23 +49,6 @@ inline size_t SingleCoreThreadsFlag(Flags& flags) {
 // warp-bench-v1 report (docs/OBSERVABILITY.md); empty means console only.
 inline std::string JsonFlag(Flags& flags) {
   return flags.GetString("json", "");
-}
-
-// Shared --simd=on|off|auto flag (docs/SIMD.md). Installs the parsed
-// mode process-wide and returns it; anything else is a hard usage error
-// (exit 2), matching the harness convention that typos never silently
-// run a default configuration.
-inline simd::SimdMode SimdFlag(Flags& flags) {
-  const std::string text = flags.GetString("simd", "auto");
-  simd::SimdMode mode;
-  if (!simd::ParseSimdMode(text, &mode)) {
-    std::fprintf(stderr,
-                 "error: invalid --simd=%s (expected on, off, or auto)\n",
-                 text.c_str());
-    std::exit(2);
-  }
-  simd::SetSimdMode(mode);
-  return mode;
 }
 
 // Standard experiment banner so every harness's output is self-describing.

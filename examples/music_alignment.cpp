@@ -10,16 +10,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "warp/common/flags.h"
 #include "warp/common/stopwatch.h"
 #include "warp/core/dtw.h"
 #include "warp/gen/chroma.h"
 
 int main(int argc, char** argv) {
-  const size_t length =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 12000;
+  warp::Flags flags(argc, argv);
+  const size_t length = static_cast<size_t>(
+      flags.PositionalInt("length", 12000, 16, warp::Flags::kNoMax));
+  flags.Finalize();
 
   warp::gen::ChromaOptions options;
   options.length = length;

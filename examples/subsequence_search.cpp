@@ -9,18 +9,21 @@
 // Build & run:  ./build/examples/subsequence_search [haystack_len]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "warp/common/flags.h"
 #include "warp/common/random.h"
 #include "warp/gen/random_walk.h"
 #include "warp/gen/warping.h"
 #include "warp/mining/similarity_search.h"
 
 int main(int argc, char** argv) {
-  const size_t haystack_len =
-      argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 500000;
   const size_t query_len = 128;
+  // The planted copy starts 2/3 in: the haystack holds three queries.
+  warp::Flags flags(argc, argv);
+  const size_t haystack_len = static_cast<size_t>(flags.PositionalInt(
+      "haystack_len", 500000, 3 * query_len, warp::Flags::kNoMax));
+  flags.Finalize();
   const size_t band = query_len * 5 / 100;  // cDTW_5, as in the UCR suite.
 
   // A long random-walk "recording" with a warped, rescaled copy of the

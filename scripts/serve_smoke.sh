@@ -13,6 +13,8 @@
 #   * pipelined lines each get exactly one response, in order;
 #   * a save_snapshot -> restart-from---snapshot-dir round trip (at a
 #     different shard count) answers the same query byte-identically;
+#   * load_snapshot of a 40-byte file whose header claims 2^62 payload
+#     bytes is refused (ok:false) and the server keeps answering;
 #   * `shutdown` stops the server with exit code 0 (clean shutdown).
 #
 # Usage: scripts/serve_smoke.sh [BUILD_DIR]   (default: build)
@@ -165,6 +167,21 @@ echo '{"id": 7, "op": "slowlog"}' | "$CLI" query --port="$PORT" \
 grep -q '"ok":true,"op":"slowlog"' "$WORK/slowlog.txt" \
     || fail "slowlog wrong: $(cat "$WORK/slowlog.txt")"
 grep -q '"entries":\[' "$WORK/slowlog.txt" || fail "slowlog missing entries"
+
+# --- A lying snapshot header is refused, not fatal --------------------------
+# 24-byte header (magic, version 1, flags 0, payload_len 2^62) + 16 zeros.
+python3 -c 'import struct, sys; sys.stdout.buffer.write(
+    b"warpsnap" + struct.pack("<IIQ", 1, 0, 1 << 62) + bytes(16))' \
+    > "$WORK/huge.wsnap"
+echo '{"id": 10, "op": "load_snapshot", "path": "'"$WORK"'/huge.wsnap"}' \
+    | "$CLI" query --port="$PORT" > "$WORK/huge.txt" \
+    || fail "load_snapshot of an oversized header got no answer"
+grep -q '"ok":false' "$WORK/huge.txt" \
+    || fail "oversized snapshot not refused: $(cat "$WORK/huge.txt")"
+echo '{"id": 11, "op": "ping"}' | "$CLI" query --port="$PORT" \
+    > "$WORK/ping.txt" || fail "server gone after an oversized snapshot"
+grep -q '"id":11,"ok":true' "$WORK/ping.txt" \
+    || fail "ping after oversized snapshot: $(cat "$WORK/ping.txt")"
 
 # --- Snapshot round trip: save, restart from --snapshot-dir, re-ask ---------
 mkdir -p "$WORK/snapdir"

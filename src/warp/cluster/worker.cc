@@ -11,7 +11,7 @@ std::vector<std::string> WorkerCommand(const std::string& worker_binary,
   argv.push_back(worker_binary);
   argv.push_back("--worker");
   argv.push_back("--shard-id=" + std::to_string(spec.shard_id));
-  argv.push_back("--shard-count=" + std::to_string(spec.shard_count));
+  argv.push_back("--shards=" + std::to_string(spec.shard_count));
   argv.push_back("--port=0");
   argv.push_back("--threads=" + std::to_string(spec.threads));
   argv.push_back("--cache=" + std::to_string(spec.cache_capacity));

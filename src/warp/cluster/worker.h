@@ -2,7 +2,7 @@
 // "Multi-process cluster").
 //
 // A worker is a plain `warp_serve` process started with
-// `--worker --shard-id=K --shard-count=N`: it loads the full snapshot
+// `--worker --shard-id=K --shards=N`: it loads the full snapshot
 // set (so every process agrees on the pinned partition and epoch
 // sequence), but answers only sub-scans stamped "shard":K, scanning
 // exactly shard K's candidates. This header holds what the rest of the

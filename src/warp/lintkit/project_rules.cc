@@ -418,6 +418,19 @@ void MeasureCoverageRule(const ProjectContext& context,
 void BenchFlagWiringRule(const ProjectContext& context,
                          std::vector<Finding>* findings) {
   for (const LexedFile& file : *context.files) {
+    // A tool that reads its flags must finalize them too, so a typo fails
+    // fast there as well.
+    if (StartsWith(file.path, "tools/")) {
+      for (const IncludeDirective& include : file.includes) {
+        if (include.path == "warp/common/flags.h" &&
+            !ContainsCall(file, "Finalize")) {
+          Add(findings, "bench-flag-wiring", file.path, include.line, 1,
+              "tool reads warp::Flags but never calls Finalize() — unknown "
+              "flags would not fail fast");
+        }
+      }
+      continue;
+    }
     if (!StartsWith(file.path, "bench/") || !IsSourcePath(file.path)) {
       continue;
     }
@@ -431,12 +444,13 @@ void BenchFlagWiringRule(const ProjectContext& context,
     if (harness_line == 0) continue;  // Not on the shared flag harness.
 
     // --threads may be consumed via the shared helpers or, for harnesses
-    // with a documented non-default default, a direct GetInt("threads").
+    // with a documented non-default default, a direct GetInt("threads") or
+    // GetCount("threads").
     bool threads = ContainsCall(file, "ThreadsFlag") ||
                    ContainsCall(file, "SingleCoreThreadsFlag");
     const std::vector<Token>& tokens = file.tokens;
     for (size_t i = 0; !threads && i + 2 < tokens.size(); ++i) {
-      if (IsCallOf(tokens, i, "GetInt") &&
+      if ((IsCallOf(tokens, i, "GetInt") || IsCallOf(tokens, i, "GetCount")) &&
           tokens[i + 2].kind == TokenKind::kString &&
           tokens[i + 2].text == "threads") {
         threads = true;
@@ -445,7 +459,7 @@ void BenchFlagWiringRule(const ProjectContext& context,
     if (!threads) {
       Add(findings, "bench-flag-wiring", file.path, harness_line, 1,
           "bench binary does not wire --threads (ThreadsFlag / "
-          "SingleCoreThreadsFlag / GetInt(\"threads\", ...))");
+          "SingleCoreThreadsFlag / GetCount(\"threads\", ...))");
     }
     if (!ContainsCall(file, "JsonFlag")) {
       Add(findings, "bench-flag-wiring", file.path, harness_line, 1,
@@ -498,7 +512,7 @@ const std::vector<ProjectRule> kProjectRules = {
      MeasureCoverageRule},
     {"bench-flag-wiring",
      "every bench on the shared harness wires --threads/--json/--simd and "
-     "finalizes flags",
+     "finalizes flags; every tool on warp::Flags finalizes them",
      BenchFlagWiringRule},
     {"test-registration",
      "every tests/**/*_test.cc is registered in tests/CMakeLists.txt",

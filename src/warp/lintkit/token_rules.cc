@@ -261,6 +261,35 @@ void IntrinsicsRule(const LexedFile& file, std::vector<Finding>* findings) {
   }
 }
 
+// --- flag-containment -------------------------------------------------------
+// Binaries read argv through warp::Flags (warp/common/flags.h), whose
+// getters check the whole value against a stated range. A raw numeric
+// conversion in tools/, bench/ (bar the benchmark package, bench/suite/)
+// or examples/ is the telltale of a parser that coerces bad input.
+void FlagRule(const LexedFile& file, std::vector<Finding>* findings) {
+  if (!StartsWith(file.path, "tools/") && !StartsWith(file.path, "bench/") &&
+      !StartsWith(file.path, "examples/")) {
+    return;
+  }
+  if (StartsWith(file.path, "bench/suite/")) return;
+  static constexpr std::string_view kCalls[] = {
+      "strtol", "strtoll", "strtoul", "strtoull", "strtod", "atoi",
+      "atol",   "atoll",   "atof",    "stoi",     "stol",   "stoll",
+      "stoul",  "stoull",  "stof",    "stod",     "stold"};
+  for (size_t i = 0; i < file.tokens.size(); ++i) {
+    const Token& token = file.tokens[i];
+    if (token.kind != TokenKind::kIdentifier) continue;
+    for (const std::string_view call : kCalls) {
+      if (token.text == call && IsCallOf(file.tokens, i, call)) {
+        Add(findings, "flag-containment", file, token.line, token.col,
+            "raw numeric conversion '" + token.text +
+                "' in a binary — read flags through warp::Flags "
+                "(warp/common/flags.h)");
+      }
+    }
+  }
+}
+
 // --- include-guards ---------------------------------------------------------
 // Headers use project include guards derived from their path; #pragma
 // once is banned (guard names double as a uniqueness check across the
@@ -317,6 +346,10 @@ const std::vector<TokenRule> kTokenRules = {
     {"intrinsics-containment",
      "raw SIMD intrinsics headers only in src/warp/simd/",
      IntrinsicsRule},
+    {"flag-containment",
+     "no raw numeric conversions in tools/, bench/ (bar bench/suite/) and "
+     "examples/: argv goes through warp::Flags",
+     FlagRule},
     {"include-guards",
      "headers use path-derived WARP_..._H_ guards, never #pragma once",
      IncludeGuardRule},

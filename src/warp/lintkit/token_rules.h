@@ -1,5 +1,5 @@
-// The seven per-file (token-level) conventions, ported from the grep
-// pipelines that scripts/lint.sh enforced before PR 7.
+// The per-file (token-level) conventions, first ported from the grep
+// pipelines of scripts/lint.sh.
 //
 // Each rule inspects one lexed file at a time; because it sees tokens,
 // not raw lines, a banned name inside a comment or string literal never

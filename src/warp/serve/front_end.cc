@@ -161,7 +161,7 @@ void FrontEnd::Serve() {
     bool timed_out = false;
     TcpConn conn = impl_->listener.AcceptWithTimeout(kAcceptPollMs, &timed_out);
     if (!conn.valid()) {
-      if (timed_out) continue;
+      if (timed_out) continue;  // Includes EMFILE back-off (net.h).
       break;  // Listener closed or failed.
     }
     auto connection = std::make_unique<Impl::Connection>();

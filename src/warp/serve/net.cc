@@ -174,7 +174,17 @@ TcpConn TcpListener::AcceptWithTimeout(int timeout_ms, bool* timed_out) {
   do {
     client = accept(fd_, nullptr, nullptr);
   } while (client < 0 && errno == EINTR);
-  if (client < 0) return TcpConn();
+  if (client < 0) {
+    // Out of descriptors or buffers, or a client that gave up mid
+    // handshake: the listener is fine. Back off one timeout (the pending
+    // connection would wake poll at once) and let the caller retry.
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM || errno == ECONNABORTED) {
+      poll(nullptr, 0, timeout_ms);
+      *timed_out = true;
+    }
+    return TcpConn();
+  }
   SetNoDelay(client);
   return TcpConn(client);
 }

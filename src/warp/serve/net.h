@@ -79,6 +79,10 @@ class TcpListener {
 
   // Waits up to `timeout_ms` for a connection. Returns a valid TcpConn,
   // or an invalid one on timeout/closure (distinguish with *timed_out).
+  // A transient accept failure (EMFILE, ENFILE, ENOBUFS, ENOMEM,
+  // ECONNABORTED) waits out `timeout_ms` and reports a timeout, so the
+  // caller retries; only a closed or failed listener returns with
+  // *timed_out false.
   TcpConn AcceptWithTimeout(int timeout_ms, bool* timed_out);
 
   void Close();

@@ -131,6 +131,10 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
 
   MeasureParams& params = request.params;
   params.window_fraction = root.NumberOr("window", params.window_fraction);
+  if (!(params.window_fraction >= 0.0 && params.window_fraction <= 1.0)) {
+    *error = "'window' must be a fraction from 0 to 1";
+    return false;
+  }
   if (!ReadIntegerMember(root, "band", "a non-negative cell count",
                          &params.band_cells, error, 0L)) {
     return false;

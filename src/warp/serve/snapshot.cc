@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "warp/common/metrics.h"
@@ -253,6 +254,13 @@ bool LoadSnapshot(const std::string& path, DatasetIndex* index,
     return Fail(error, "snapshot uses unknown feature flags: " + path);
   }
 
+  // The header's length is untrusted: refuse one the file cannot hold
+  // before allocating for it.
+  std::error_code size_error;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  if (size_error || payload_len > file_bytes - kHeaderBytes) {
+    return Fail(error, "truncated snapshot payload: " + path);
+  }
   std::string payload(payload_len, '\0');
   if (payload_len > 0 &&
       std::fread(payload.data(), 1, payload_len, file.f) != payload_len) {
@@ -347,6 +355,14 @@ bool LoadSnapshot(const std::string& path, DatasetIndex* index,
       const size_t length = parsed.data[i].size();
       if (!r.Doubles(&env.upper, length) || !r.Doubles(&env.lower, length)) {
         return Fail(error, "truncated snapshot payload: " + path);
+      }
+      // LB_Keogh relies on lower <= value <= upper at every point.
+      const std::vector<double>& values = parsed.data[i].values();
+      for (size_t j = 0; j < length; ++j) {
+        if (!(env.lower[j] <= values[j] && values[j] <= env.upper[j])) {
+          return Fail(error,
+                      "snapshot envelope does not bound its series: " + path);
+        }
       }
       parsed.envelopes[slot].push_back(std::move(env));
     }

@@ -36,10 +36,12 @@
 //   trailer  u64      FNV-1a 64 checksum of the payload bytes
 //
 // Readers REFUSE, never guess: bad magic, unsupported version, nonzero
-// flags, truncation anywhere, checksum mismatch, structural
-// inconsistency (ragged lengths under a uniform header, non-finite
-// values, head/tail disagreeing with the series they cache) each fail
-// with a distinct error message and leave the output untouched.
+// flags, a payload length larger than the rest of the file (checked
+// before anything is allocated for it), truncation anywhere, checksum
+// mismatch, structural inconsistency (ragged lengths under a uniform
+// header, non-finite values, head/tail disagreeing with the series they
+// cache, an envelope that does not bound its series) each fail with a
+// distinct error message and leave the output untouched.
 //
 // This is the ONLY serve/ translation unit allowed to touch the
 // filesystem (enforced by warp_lint's serve-io-containment rule).

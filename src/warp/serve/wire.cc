@@ -194,6 +194,7 @@ class JsonParser {
     if (parse_end != token.c_str() + token.size()) {
       return Fail("malformed number");
     }
+    if (!std::isfinite(parsed)) return Fail("number out of range");
     value->kind_ = JsonValue::Kind::kNumber;
     value->number_ = parsed;
     // An integer literal also keeps its exact value when it fits 64 bits.

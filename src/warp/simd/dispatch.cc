@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "warp/common/flags.h"
 #include "warp/simd/vdouble.h"
 
 namespace warp {
@@ -53,6 +54,13 @@ void SetSimdMode(SimdMode mode) {
 }
 
 SimdMode GetSimdMode() { return g_mode.load(std::memory_order_relaxed); }
+
+SimdMode SimdFlag(Flags& flags) {
+  SimdMode mode = SimdMode::kAuto;
+  ParseSimdMode(flags.GetWord("simd", "auto", {"on", "off", "auto"}), &mode);
+  SetSimdMode(mode);
+  return mode;
+}
 
 const char* SimdBackendName() { return kBackendName; }
 

@@ -26,6 +26,9 @@
 #include <string_view>
 
 namespace warp {
+
+class Flags;
+
 namespace simd {
 
 enum class SimdMode { kOff, kOn, kAuto };
@@ -49,6 +52,10 @@ const char* SimdModeName(SimdMode mode);
 
 void SetSimdMode(SimdMode mode);
 SimdMode GetSimdMode();
+
+// Every binary's --simd=on|off|auto flag (default auto): installs the
+// mode process-wide and returns it.
+SimdMode SimdFlag(Flags& flags);
 
 // The compiled vdouble backend ("avx2", "neon", "scalar").
 const char* SimdBackendName();

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const char* value = eq == std::string::npos ? "" : argv[i] + eq + 1;
     if (key == "--shard-id") {
       options.worker_shard = std::strtol(value, nullptr, 10);
-    } else if (key == "--shard-count") {
+    } else if (key == "--shards") {
       options.shards = std::strtoul(value, nullptr, 10);
     } else if (key == "--snapshot-dir") {
       snapshot_dir = value;

@@ -145,11 +145,28 @@ TEST(ProtocolTest, RejectsBadQueryFields) {
         R"("index": -1)", R"("k": 18446744073709551616)",
         R"("radius": 2.5)", R"("band": 1e300)", R"("band": 0.5)",
         R"("shard": 1e300)", R"("shard": -1)", R"("shard_epoch": -1)",
-        R"("shard_epoch": 1e20)", R"("k": "3")"}) {
+        R"("shard_epoch": 1e20)", R"("k": "3")", R"("window": -5)",
+        R"("window": 1.5)", R"("window": 1e999)"}) {
     EXPECT_FALSE(ParseRequestLine(
         R"({"op": "dist", "dataset": "d", "query": [1.0], )" + field + "}",
         &parsed, &error))
         << field;
+  }
+  // A window is a fraction: both ends are valid, anything past them is
+  // refused by name rather than read as Full DTW by one op and Euclidean
+  // by another.
+  EXPECT_FALSE(ParseRequestLine(
+      R"({"op": "1nn", "dataset": "d", "query": [1.0], "window": -5})",
+      &parsed, &error));
+  EXPECT_NE(error.find("'window' must be a fraction from 0 to 1"),
+            std::string::npos)
+      << error;
+  for (const char* window : {"0", "1"}) {
+    EXPECT_TRUE(ParseRequestLine(
+        std::string(R"({"op": "1nn", "dataset": "d", "query": [1.0], )") +
+            R"("window": )" + window + "}",
+        &parsed, &error))
+        << error;
   }
 }
 

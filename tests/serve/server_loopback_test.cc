@@ -5,6 +5,7 @@
 #include "warp/serve/server.h"
 
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <iterator>
 #include <string>
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "warp/cluster/proc.h"
+#include "warp/cluster/worker.h"
 #include "warp/core/measure.h"
 #include "warp/gen/random_walk.h"
 #include "warp/obs/json_writer.h"
@@ -240,6 +243,62 @@ TEST(ServerLoopbackTest, FinishedConnectionsReleaseTheirDescriptors) {
     open = OpenDescriptors();
   }
   EXPECT_LE(open, before + 2);
+}
+
+// A connection flood under a low descriptor limit makes accept fail with
+// EMFILE. The server must back off and serve again once the flood closes,
+// not read the failure as a closed listener and exit 0. The server runs
+// as a child under `ulimit -n 24`, so this process keeps its own limit.
+TEST(ServerLoopbackTest, DescriptorExhaustionDoesNotEndTheAcceptLoop) {
+#ifdef WARP_SANITIZE_UNDEFINED
+  GTEST_SKIP() << "UBSan's vptr check needs a free descriptor (it probes "
+                  "memory through a pipe) and misfires at EMFILE";
+#endif
+  cluster::ChildProcess child;
+  std::string error;
+  ASSERT_TRUE(child.Spawn({"/bin/sh", "-c",
+                           std::string("ulimit -n 24; exec '") +
+                               WARP_SERVE_PATH + "' --gen=d=20,32 --port=0"},
+                          &error))
+      << error;
+  std::string line;
+  int port = 0;
+  ASSERT_TRUE(child.WaitForLinePrefix("ready port=", 10000, &line));
+  ASSERT_TRUE(cluster::ParseReadyPort(line, &port)) << line;
+  {
+    std::vector<TcpConn> flood;
+    for (int i = 0; i < 40; ++i) {
+      flood.push_back(ConnectLoopbackTimeout(port, 1000, &error));
+    }
+    cluster::SleepMillis(300);  // Long enough for accept to hit EMFILE.
+  }
+  // The closed connections are reaped and the backlog drained before a
+  // fresh one is accepted, so give the ping a few tries.
+  bool answered = false;
+  for (int attempt = 0; attempt < 30 && !answered; ++attempt) {
+    TcpConn conn = ConnectLoopbackTimeout(port, 1000, &error);
+    answered = conn.valid() &&
+               conn.WriteAll(R"({"id": 1, "op": "ping"})" "\n") &&
+               conn.WaitReadable(2000) && conn.ReadLine(&line) &&
+               line.find(R"("ok":true)") != std::string::npos;
+    if (!answered) cluster::SleepMillis(100);
+  }
+  EXPECT_TRUE(answered) << "the server stopped accepting after EMFILE";
+
+  TcpConn conn = ConnectLoopbackTimeout(port, 1000, &error);
+  if (conn.valid() &&
+      conn.WriteAll(R"({"id": 2, "op": "shutdown"})" "\n")) {
+    conn.ReadLine(&line);
+  }
+  int status = 0;
+  for (int waited_ms = 0; !child.TryReap(&status) && waited_ms < 5000;
+       waited_ms += 20) {
+    cluster::SleepMillis(20);
+  }
+  if (child.running()) {
+    child.Kill(SIGKILL);
+    child.Reap();
+  }
 }
 
 TEST(ServerLoopbackTest, ShutdownOpStopsTheServeLoop) {

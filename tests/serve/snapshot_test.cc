@@ -5,6 +5,7 @@
 
 #include "warp/serve/snapshot.h"
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -191,6 +192,65 @@ TEST(SnapshotTest, TruncatedPayloadRefuses) {
   DatasetIndex index;
   EXPECT_FALSE(LoadSnapshot(path, &index, nullptr, &error));
   EXPECT_NE(error.find("truncated snapshot"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+// The header's payload length is untrusted: a claim larger than the file
+// is refused before anything is allocated for it, so a 40-byte file cannot
+// ask for 2^62 bytes.
+TEST(SnapshotTest, OversizedPayloadLengthRefusesWithoutAllocating) {
+  const auto stored = MakeStored();
+  const std::string path = TempPath("oversized.wsnap");
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*stored, path, &error)) << error;
+  const std::string bytes = Slurp(path);
+  for (const uint64_t claimed : {uint64_t{1} << 62, uint64_t{1} << 40}) {
+    SCOPED_TRACE(claimed);
+    for (const size_t keep : {size_t{40}, bytes.size()}) {
+      std::string patched = bytes.substr(0, keep);
+      for (int i = 0; i < 8; ++i) {
+        patched[16 + i] = static_cast<char>((claimed >> (8 * i)) & 0xff);
+      }
+      Spit(path, patched);
+      DatasetIndex index;
+      bool loaded = true;
+      EXPECT_NO_THROW(loaded = LoadSnapshot(path, &index, nullptr, &error));
+      EXPECT_FALSE(loaded);
+      EXPECT_NE(error.find("truncated snapshot payload"), std::string::npos)
+          << error;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// An envelope is derived data the cascade trusts: one that does not bound
+// its series (here the last lower-envelope value raised above it, with the
+// checksum recomputed) is refused, not served.
+TEST(SnapshotTest, EnvelopeThatDoesNotBoundItsSeriesRefuses) {
+  const auto stored = MakeStored();
+  const std::string path = TempPath("bad_envelope.wsnap");
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*stored, path, &error)) << error;
+  std::string bytes = Slurp(path);
+  const auto put_u64 = [&bytes](size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  };
+  const size_t trailer = bytes.size() - 8;
+  put_u64(trailer - 8, std::bit_cast<uint64_t>(1e300));
+  uint64_t checksum = 1469598103934665603ull;
+  for (size_t i = 24; i < trailer; ++i) {
+    checksum ^= static_cast<unsigned char>(bytes[i]);
+    checksum *= 1099511628211ull;
+  }
+  put_u64(trailer, checksum);
+  Spit(path, bytes);
+  DatasetIndex index;
+  EXPECT_FALSE(LoadSnapshot(path, &index, nullptr, &error));
+  EXPECT_NE(error.find("envelope does not bound its series"),
+            std::string::npos)
+      << error;
   std::remove(path.c_str());
 }
 

@@ -23,6 +23,9 @@ namespace {
 #ifndef UCR_RUNNER_PATH
 #error "UCR_RUNNER_PATH must be defined"
 #endif
+#ifndef WARP_SERVE_PATH
+#error "WARP_SERVE_PATH must be defined"
+#endif
 
 std::string RunCommand(const std::string& command, int* exit_code) {
   const std::string full = command + " 2>/dev/null";
@@ -59,6 +62,37 @@ class CliTest : public ::testing::Test {
                    const std::vector<double>& values) {
     std::ofstream out(path);
     for (double v : values) out << v << "\n";
+  }
+
+  // Lays out a miniature UCR archive with one dataset, Mini; returns its
+  // directory.
+  std::string MakeArchive() {
+    const std::string archive = dir_ + "/archive";
+    const std::string dataset_dir = archive + "/Mini";
+    std::string error;
+    EXPECT_EQ(std::system(("mkdir -p " + dataset_dir).c_str()), 0);
+    Dataset train;
+    Dataset test;
+    EXPECT_TRUE(LoadUcrFile(dir_ + "/train.tsv", &train, &error)) << error;
+    EXPECT_TRUE(LoadUcrFile(dir_ + "/test.tsv", &test, &error)) << error;
+    EXPECT_TRUE(SaveUcrFile(dataset_dir + "/Mini_TRAIN.tsv", train, &error));
+    EXPECT_TRUE(SaveUcrFile(dataset_dir + "/Mini_TEST.tsv", test, &error));
+    return archive;
+  }
+
+  // Runs `command` under a 20 s timeout; expects exit 2 and a stderr
+  // message naming `flag`. A hang reads as the timeout's exit 124.
+  void ExpectBadFlag(const std::string& command, const std::string& flag) {
+    SCOPED_TRACE(command);
+    const std::string full = "timeout 20 " + command + " 2>&1 >/dev/null";
+    FILE* pipe = popen(full.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string message;
+    char buffer[512];
+    while (fgets(buffer, sizeof(buffer), pipe) != nullptr) message += buffer;
+    const int status = pclose(pipe);
+    EXPECT_EQ(WEXITSTATUS(status), 2) << message;
+    EXPECT_NE(message.find("--" + flag), std::string::npos) << message;
   }
 
   std::string dir_;
@@ -196,6 +230,41 @@ TEST_F(CliTest, ClusterRejectsOutOfRangePort) {
   EXPECT_EQ(code, 2);
 }
 
+// Bad flags are usage errors: each exits 2 before any work, naming the
+// flag, instead of running another window, hanging or aborting.
+TEST_F(CliTest, BadCliFlagsExitTwo) {
+  const std::string dist = std::string(WARP_CLI_PATH) + " dist " + dir_ +
+                           "/a.txt " + dir_ + "/b.txt ";
+  ExpectBadFlag(dist + "--window=abc", "window");
+  ExpectBadFlag(dist + "--windwo=0.1", "windwo");
+  ExpectBadFlag(dist + "--window=-0.5", "window");
+  ExpectBadFlag(dist + "--measure=fastdtw --radius=-1", "radius");
+  ExpectBadFlag(std::string(WARP_CLI_PATH) + " classify " + dir_ +
+                    "/train.tsv " + dir_ + "/test.tsv --auto-window=-3",
+                "auto-window");
+}
+
+TEST_F(CliTest, BadRunnerAndServerFlagsExitTwo) {
+  ExpectBadFlag(std::string(UCR_RUNNER_PATH) + " " + MakeArchive() +
+                    " Mini --max-window=-1",
+                "max-window");
+  ExpectBadFlag(std::string(WARP_SERVE_PATH) +
+                    " --bands=abc --data=x=/nonexistent",
+                "bands");
+  ExpectBadFlag(std::string(WARP_SERVE_PATH) +
+                    " --gen=rw=20,64,seven --data=x=/nonexistent",
+                "gen");
+}
+
+TEST_F(CliTest, BadBenchFlagExitsTwo) {
+#ifdef WARP_BENCH_TRILLION_PATH
+  ExpectBadFlag(std::string(WARP_BENCH_TRILLION_PATH) + " --haystack=2e4",
+                "haystack");
+#else
+  GTEST_SKIP() << "benchmarks not built";
+#endif
+}
+
 TEST_F(CliTest, UnknownCommandFails) {
   int code = 0;
   RunCommand(std::string(WARP_CLI_PATH) + " frobnicate", &code);
@@ -203,19 +272,7 @@ TEST_F(CliTest, UnknownCommandFails) {
 }
 
 TEST_F(CliTest, UcrRunnerProducesRow) {
-  // Lay out a miniature archive directory.
-  const std::string archive = dir_ + "/archive";
-  const std::string dataset_dir = archive + "/Mini";
-  std::string error;
-  ASSERT_EQ(std::system(("mkdir -p " + dataset_dir).c_str()), 0);
-  Dataset train;
-  Dataset test;
-  ASSERT_TRUE(LoadUcrFile(dir_ + "/train.tsv", &train, &error)) << error;
-  ASSERT_TRUE(LoadUcrFile(dir_ + "/test.tsv", &test, &error)) << error;
-  ASSERT_TRUE(
-      SaveUcrFile(dataset_dir + "/Mini_TRAIN.tsv", train, &error));
-  ASSERT_TRUE(SaveUcrFile(dataset_dir + "/Mini_TEST.tsv", test, &error));
-
+  const std::string archive = MakeArchive();
   int code = 0;
   const std::string out = RunCommand(
       std::string(UCR_RUNNER_PATH) + " " + archive + " Mini --max-window=10",

@@ -1,183 +1,102 @@
 // Shared implementation of the serve tool entry point.
 //
 // `warp_serve` and `warp_cli serve` are the same server with two front
-// doors; both parse the same flags and call ServeToolMain() from here so
-// the behavior cannot drift. Header-only to keep tools/ free of its own
-// library target.
-//
-//   --port=N        listen port (default 0 = kernel-assigned; the bound
-//                   port is printed on the "listening" line)
-//   --threads=N     query-engine workers (default 1; 0 = all cores)
-//   --shards=N      store shards per dataset (default 1)
-//   --cache=N       result-cache capacity in entries (default 256; 0 off)
-//   --bands=F,F     window fractions indexed per dataset (default .05,.1)
-//   --data=NAME=PATH         load a UCR file (repeatable)
-//   --gen=NAME=COUNT,LEN[,SEED]  synthesize a random-walk dataset
-//                   (repeatable; default seed 42)
-//   --snapshot-dir=PATH  auto-register every *.wsnap snapshot in PATH at
-//                   startup (sorted filename order; docs/SERVING.md)
-//   --max-queue-depth=N  batcher admission gate: pending submissions
-//                   beyond N fast-fail with error "overloaded" (0 = off)
-//   --worker --shard-id=K --shard-count=N
-//                   cluster worker mode: serve only shard K of N; every
-//                   query must arrive stamped "shard":K (docs/SERVING.md,
-//                   "Multi-process cluster")
-//   --simd=MODE     SIMD kernel dispatch: on | off | auto (default auto;
-//                   docs/SIMD.md)
-//
-// A numeric flag that is not a whole integer in its range (--port at most
-// 65535, --shards at least 1, the rest at least 0) exits 2.
+// doors; both hand their warp::Flags to ServeToolMain() here, so the
+// behavior cannot drift. Header-only to keep tools/ free of its own
+// library target. kServeHelp is the flag reference.
 
 #ifndef WARP_TOOLS_SERVE_MAIN_H_
 #define WARP_TOOLS_SERVE_MAIN_H_
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "warp/common/flags.h"
 #include "warp/gen/random_walk.h"
 #include "warp/serve/server.h"
-#include "warp/simd/dispatch.h"
 
 namespace warp {
 namespace tools {
 
-using ToolFlags = std::vector<std::pair<std::string, std::string>>;
+inline constexpr char kServeHelp[] =
+    R"(warp_serve — loopback DTW query server (docs/SERVING.md)
+  --port=N                 listen port (default 0 = kernel-assigned; the
+                           bound port is printed on the "ready" line)
+  --threads=N              engine workers (default 1; 0 = all cores)
+  --shards=N               store shards per dataset (default 1)
+  --cache=N                result-cache entries (default 256; 0 = off)
+  --bands=F,F              indexed window fractions, each from 0 to 1
+                           (default 0.05,0.1)
+  --data=NAME=PATH         serve a UCR file (repeatable)
+  --gen=NAME=COUNT,LEN[,SEED]  serve a synthetic random-walk set
+                           (repeatable; default seed 42)
+  --snapshot-dir=PATH      auto-load the *.wsnap snapshots in PATH at
+                           startup, in sorted filename order (repeatable)
+  --max-queue-depth=N      admission gate: pending submissions beyond N
+                           fast-fail "overloaded" (default 1024; 0 = off)
+  --worker --shard-id=K --shards=N
+                           cluster worker mode: serve only shard K of N;
+                           queries must arrive stamped "shard":K
+  --simd=MODE              on | off | auto (default auto; docs/SIMD.md)
+Every flag is checked before any dataset loads: a bad value (--port at
+most 65535, --shards at least 1, --shard-id below --shards) or an unknown
+flag exits 2; a dataset or snapshot that fails to load exits 1. A
+snapshot whose header claims more payload than the file holds is
+refused; a query's "window" must be a fraction from 0 to 1; when accept
+runs out of descriptors (EMFILE) the server waits 100 ms and retries.
+)";
 
-// Parses --name / --name=value arguments from argv[start..); anything not
-// starting with "--" is ignored (the caller owns positionals).
-inline ToolFlags ParseToolFlags(int argc, char** argv, int start) {
-  ToolFlags flags;
-  for (int i = start; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags.emplace_back(arg, "true");
-    } else {
-      flags.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-    }
-  }
-  return flags;
-}
-
-// A whole-string integer flag value in [min, max], stored into the
-// option *out. Anything else is a misconfiguration the operator must see:
-// it prints "<tool>: invalid --<key>=<value> (...)" and returns false
-// (exit 2).
-template <typename T>
-bool ParseCountFlag(const char* tool, const std::string& key,
-                    const std::string& value, long min, T* out,
-                    long max = std::numeric_limits<int>::max()) {
-  char* end = nullptr;
-  const long n = std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == nullptr || *end != '\0' || n < min ||
-      n > max) {
-    std::fprintf(stderr,
-                 "%s: invalid --%s=%s (expected an integer from %ld to "
-                 "%ld)\n",
-                 tool, key.c_str(), value.c_str(), min, max);
-    return false;
-  }
-  *out = static_cast<T>(n);
-  return true;
-}
-
-inline std::vector<double> ParseFractionList(const std::string& text) {
-  std::vector<double> fractions;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string piece = text.substr(start, comma - start);
-    if (!piece.empty()) fractions.push_back(std::strtod(piece.c_str(), nullptr));
-    start = comma + 1;
-  }
-  return fractions;
-}
-
-// Builds, preloads, and runs a server from parsed tool flags. Returns a
-// process exit code.
-inline int ServeToolMain(const ToolFlags& flags) {
+// Reads the server flags, then builds, preloads, and runs a server.
+// Returns a process exit code.
+inline int ServeToolMain(Flags& flags) {
   serve::ServerOptions options;
+  options.port = static_cast<uint16_t>(flags.GetInt("port", 0, 0, 65535));
+  options.threads = flags.GetCount("threads", options.threads);
+  options.shards = flags.GetCount("shards", options.shards, 1);
+  options.cache_capacity = flags.GetCount("cache", options.cache_capacity);
+  options.max_queue_depth =
+      flags.GetCount("max-queue-depth", options.max_queue_depth);
+  options.band_fractions =
+      flags.GetDoubles("bands", options.band_fractions, 0.0, 1.0);
+  if (flags.GetBool("worker", false)) {
+    // The id must name one of the --shards shards, or every stamped query
+    // would be refused as mis-routed.
+    options.worker_shard = static_cast<long>(flags.GetInt(
+        "shard-id", 0, 0, static_cast<int64_t>(options.shards) - 1));
+  }
   std::vector<std::pair<std::string, std::string>> data_specs;
-  std::vector<std::string> gen_specs;
-  std::vector<std::string> snapshot_dirs;
-  bool worker_mode = false;
-  long worker_shard_id = 0;
-  for (const auto& [key, value] : flags) {
-    // Numeric flags shape the process (its port, threads, partition and
-    // queues); a typo silently coerced to some default would be a
-    // misconfiguration the operator never sees.
-    bool valid = true;
-    if (key == "port") {
-      valid = ParseCountFlag("warp_serve", key, value, 0, &options.port,
-                             65535);
-    } else if (key == "threads") {
-      valid = ParseCountFlag("warp_serve", key, value, 0, &options.threads);
-    } else if (key == "shards" || key == "shard-count") {
-      valid = ParseCountFlag("warp_serve", key, value, 1, &options.shards);
-    } else if (key == "cache") {
-      valid = ParseCountFlag("warp_serve", key, value, 0,
-                             &options.cache_capacity);
-    } else if (key == "max-queue-depth") {
-      valid = ParseCountFlag("warp_serve", key, value, 0,
-                             &options.max_queue_depth);
-    } else if (key == "worker") {
-      worker_mode = true;
-    } else if (key == "shard-id") {
-      valid = ParseCountFlag("warp_serve", key, value, 0, &worker_shard_id);
-    } else if (key == "bands") {
-      options.band_fractions = ParseFractionList(value);
-    } else if (key == "data") {
-      const size_t eq = value.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "warp_serve: --data expects NAME=PATH\n");
-        return 1;
-      }
-      data_specs.emplace_back(value.substr(0, eq), value.substr(eq + 1));
-    } else if (key == "gen") {
-      gen_specs.push_back(value);
-    } else if (key == "snapshot-dir") {
-      snapshot_dirs.push_back(value);
-    } else if (key == "profile") {
-      // Consumed by warp_cli's Main (snapshot + print around this call)
-      // so `warp_cli serve --profile` profiles an in-process server run;
-      // tolerated here so the flag doesn't fail the serve front doors.
-    } else if (key == "simd") {
-      simd::SimdMode mode;
-      if (!simd::ParseSimdMode(value, &mode)) {
-        std::fprintf(stderr,
-                     "warp_serve: invalid --simd=%s (expected on, off, or "
-                     "auto)\n",
-                     value.c_str());
-        return 2;
-      }
-      simd::SetSimdMode(mode);
-    } else {
-      std::fprintf(stderr, "warp_serve: unknown flag --%s\n", key.c_str());
-      return 1;
+  for (const std::string& spec : flags.GetAll("data")) {
+    const size_t eq = spec.find('=');
+    if (eq == 0 || eq == std::string::npos) {
+      flags.Invalid("data", spec, "NAME=PATH");
     }
-    if (!valid) return 2;
+    data_specs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
   }
-
-  if (worker_mode) {
-    // Worker mode binds shard-id to the partition: the id must name one
-    // of the --shard-count shards or every stamped query would be
-    // refused as mis-routed.
-    if (worker_shard_id >= static_cast<long>(options.shards)) {
-      std::fprintf(stderr,
-                   "warp_serve: --shard-id=%ld out of range for "
-                   "--shard-count=%zu\n",
-                   worker_shard_id, options.shards);
-      return 2;
+  // --gen=NAME=COUNT,LEN[,SEED]: COUNT random walks of length LEN.
+  std::vector<std::pair<std::string, std::vector<int64_t>>> gen_specs;
+  for (const std::string& spec : flags.GetAll("gen")) {
+    const size_t eq = spec.find('=');
+    const std::vector<std::string> fields =
+        SplitList(eq == std::string::npos ? "" : spec.substr(eq + 1));
+    std::vector<int64_t> numbers = {0, 0, 42};
+    bool valid = eq != 0 && fields.size() >= 2 && fields.size() <= 3;
+    for (size_t i = 0; valid && i < fields.size(); ++i) {
+      valid = ReadNumber<int64_t>(fields[i], i < 2 ? 1 : 0,
+                                  i < 2 ? INT_MAX : Flags::kNoMax, &numbers[i]);
     }
-    options.worker_shard = worker_shard_id;
+    if (!valid) {
+      flags.Invalid("gen", spec,
+                    "NAME=COUNT,LEN[,SEED] with COUNT and LEN at least 1 and "
+                    "SEED at least 0");
+    }
+    gen_specs.emplace_back(spec.substr(0, eq), numbers);
   }
+  const std::vector<std::string> snapshot_dirs = flags.GetAll("snapshot-dir");
+  flags.Finalize();
 
   serve::Server server(std::move(options));
   for (const std::string& dir : snapshot_dirs) {
@@ -198,32 +117,11 @@ inline int ServeToolMain(const ToolFlags& flags) {
       return 1;
     }
   }
-  for (const std::string& spec : gen_specs) {
-    const size_t eq = spec.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "warp_serve: --gen expects NAME=COUNT,LEN[,SEED]\n");
-      return 1;
-    }
-    const std::string name = spec.substr(0, eq);
-    char* cursor = nullptr;
-    const std::string numbers = spec.substr(eq + 1);
-    const long count = std::strtol(numbers.c_str(), &cursor, 10);
-    long length = 0;
-    long seed = 42;
-    if (cursor != nullptr && *cursor == ',') {
-      length = std::strtol(cursor + 1, &cursor, 10);
-      if (cursor != nullptr && *cursor == ',') {
-        seed = std::strtol(cursor + 1, nullptr, 10);
-      }
-    }
-    if (count <= 0 || length <= 0) {
-      std::fprintf(stderr, "warp_serve: bad --gen spec '%s'\n", spec.c_str());
-      return 1;
-    }
+  for (const auto& [name, numbers] : gen_specs) {
     server.RegisterDataset(
-        name, gen::RandomWalkDataset(static_cast<size_t>(count),
-                                     static_cast<size_t>(length),
-                                     static_cast<uint64_t>(seed)));
+        name, gen::RandomWalkDataset(static_cast<size_t>(numbers[0]),
+                                     static_cast<size_t>(numbers[1]),
+                                     static_cast<uint64_t>(numbers[2])));
   }
   return serve::RunServer(&server);
 }

@@ -13,12 +13,13 @@
 //
 // Usage: ucr_runner <archive_dir> <DatasetName> [more names...]
 //        [--max-window=20] [--fastdtw] [--radius=10]
+// --max-window is a percent (0 to 100); a bad flag exits 2 (docs/CLI.md).
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "warp/common/flags.h"
 #include "warp/common/stopwatch.h"
 #include "warp/common/table_printer.h"
 #include "warp/core/dtw.h"
@@ -32,43 +33,26 @@ namespace warp {
 namespace tools {
 namespace {
 
-struct Options {
-  std::string archive_dir;
-  std::vector<std::string> datasets;
-  size_t max_window_percent = 20;
-  bool run_fastdtw = false;
-  size_t radius = 10;
-};
-
-bool ParseArgs(int argc, char** argv, Options* options) {
-  if (argc < 3) return false;
-  options->archive_dir = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--max-window=", 0) == 0) {
-      options->max_window_percent =
-          static_cast<size_t>(std::strtoul(arg.c_str() + 13, nullptr, 10));
-    } else if (arg == "--fastdtw") {
-      options->run_fastdtw = true;
-    } else if (arg.rfind("--radius=", 0) == 0) {
-      options->radius =
-          static_cast<size_t>(std::strtoul(arg.c_str() + 9, nullptr, 10));
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    } else {
-      options->datasets.push_back(arg);
-    }
+int Run(Flags& flags) {
+  const size_t max_window_percent =
+      static_cast<size_t>(flags.GetInt("max-window", 20, 0, 100));
+  const bool run_fastdtw = flags.GetBool("fastdtw", false);
+  const size_t radius = flags.GetCount("radius", 10);
+  const std::string archive_dir = flags.NextPositional();
+  const std::vector<std::string> datasets = flags.Positionals();
+  flags.Finalize();
+  if (datasets.empty()) {
+    std::fprintf(stderr,
+                 "usage: ucr_runner <archive_dir> <Dataset> [...] "
+                 "[--max-window=20] [--fastdtw] [--radius=10]\n");
+    return 1;
   }
-  return !options->datasets.empty();
-}
 
-int Run(const Options& options) {
   TablePrinter table({"dataset", "N", "train", "test", "ED err",
                       "best w%", "cDTW err", "cDTW s", "FastDTW err",
                       "FastDTW s", "snapshot w%/err"});
-  for (const std::string& name : options.datasets) {
-    const std::string base = options.archive_dir + "/" + name + "/" + name;
+  for (const std::string& name : datasets) {
+    const std::string base = archive_dir + "/" + name + "/" + name;
     Dataset train;
     Dataset test;
     std::string error;
@@ -93,7 +77,7 @@ int Run(const Options& options) {
 
     // Best window by LOOCV (the archive's procedure), step 1% of length.
     const WindowSearchResult search = FindBestWindowLoocv(
-        train, options.max_window_percent * length / 100,
+        train, max_window_percent * length / 100,
         std::max<size_t>(1, length / 100));
 
     const AcceleratedNnClassifier classifier(train, search.best_band);
@@ -101,8 +85,7 @@ int Run(const Options& options) {
 
     std::string fastdtw_err = "-";
     std::string fastdtw_time = "-";
-    if (options.run_fastdtw) {
-      const size_t radius = options.radius;
+    if (run_fastdtw) {
       const ClassificationStats fast = Evaluate1Nn(
           train, test,
           [radius](std::span<const double> a, std::span<const double> b) {
@@ -136,12 +119,6 @@ int Run(const Options& options) {
 }  // namespace warp
 
 int main(int argc, char** argv) {
-  warp::tools::Options options;
-  if (!warp::tools::ParseArgs(argc, argv, &options)) {
-    std::fprintf(stderr,
-                 "usage: ucr_runner <archive_dir> <Dataset> [...] "
-                 "[--max-window=20] [--fastdtw] [--radius=10]\n");
-    return 1;
-  }
-  return warp::tools::Run(options);
+  warp::Flags flags(argc, argv);
+  return warp::tools::Run(flags);
 }

@@ -11,13 +11,13 @@
 // first. Run `warp_cli help` for full flag documentation.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cluster_main.h"
 #include "serve_main.h"
+#include "warp/common/flags.h"
 #include "warp/common/statistics.h"
 #include "warp/common/stopwatch.h"
 #include "warp/common/table_printer.h"
@@ -69,7 +69,7 @@ COMMANDS
 
   classify <train.tsv> <test.tsv>
     --window=F        window fraction; or
-    --auto-window=N   LOOCV search up to N%% of the length
+    --auto-window=N   LOOCV search up to N% of the length (0 to 100)
     --max-band=N      cap the band in cells
     --threads=N       worker threads over test queries (default 1 =
                       serial; 0 = all cores / WARP_THREADS). Results are
@@ -105,10 +105,10 @@ COMMANDS
   query               Talk to a running server.
     --port=N          server port (required; scrape the listening line)
     --op=OP           1nn | knn | range | dist | subsequence | ping |
-                      info | stats | load | save_snapshot | load_snapshot |
-                      shutdown. Omit --op to pipe raw request lines from
-                      stdin (pipelined lines are answered as one server
-                      batch).
+                      info | stats | metrics | slowlog | telemetry | load |
+                      save_snapshot | load_snapshot | shutdown. Omit --op
+                      to pipe raw request lines from stdin (pipelined
+                      lines are answered as one server batch).
     --dataset=NAME    target dataset; --query-file=PATH query series
     --measure=M --window=F --band=N --k=N --index=N --threshold=F
     --deadline-ms=F --znorm=BOOL --id=N
@@ -123,53 +123,10 @@ GLOBAL FLAGS
                       auto = use vector paths when the CPU supports the
                       compiled backend; see docs/SIMD.md). Results are
                       identical in every mode.
+
+A bad flag value (--window is a fraction from 0 to 1) or a flag the
+command does not read exits 2 before any work; a bad input file exits 1.
 )";
-
-struct Args {
-  std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-
-  std::string Flag(const std::string& name,
-                   const std::string& fallback) const {
-    for (const auto& [key, value] : flags) {
-      if (key == name) return value;
-    }
-    return fallback;
-  }
-  double FlagDouble(const std::string& name, double fallback) const {
-    const std::string v = Flag(name, "");
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
-  }
-  long FlagInt(const std::string& name, long fallback) const {
-    const std::string v = Flag(name, "");
-    return v.empty() ? fallback : std::strtol(v.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& name) const {
-    for (const auto& [key, value] : flags) {
-      if (key == name) return true;
-    }
-    return false;
-  }
-};
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      arg = arg.substr(2);
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        args.flags.emplace_back(arg, "true");
-      } else {
-        args.flags.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      }
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
-}
 
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "warp_cli: %s\n", message.c_str());
@@ -190,74 +147,71 @@ Dataset LoadDatasetOrDie(const std::string& path) {
   return dataset;
 }
 
-// --threads: 1 = serial (default), 0 = auto, N = N workers. Negative
-// values are treated as auto.
-size_t ParseThreads(const Args& args) {
-  const long value = args.FlagInt("threads", 1);
-  return value < 0 ? 0 : static_cast<size_t>(value);
+// --measure: any registered measure (default cdtw).
+std::string MeasureFlag(Flags& flags) {
+  const std::string measure = flags.GetString("measure", "cdtw");
+  if (!IsRegisteredMeasure(measure)) {
+    flags.Invalid("measure", measure, RegisteredMeasureNames());
+  }
+  return measure;
 }
 
-CostKind ParseCost(const Args& args) {
-  const std::string cost = args.Flag("cost", "squared");
-  if (cost == "squared") return CostKind::kSquared;
-  if (cost == "absolute") return CostKind::kAbsolute;
-  Fail("unknown --cost: " + cost);
-}
-
-int CmdDist(const Args& args) {
-  if (args.positional.size() != 2) Fail("dist needs two series files");
-  TimeSeries a = LoadSeriesOrDie(args.positional[0]);
-  TimeSeries b = LoadSeriesOrDie(args.positional[1]);
-  if (args.Has("znorm")) {
+int CmdDist(Flags& flags) {
+  const std::vector<std::string> files = flags.Positionals();
+  const std::string measure = MeasureFlag(flags);
+  const double window = flags.GetDouble("window", 0.05, 0.0, 1.0);
+  const bool znorm = flags.GetBool("znorm", false);
+  const bool want_path = flags.GetBool("path", false);
+  MeasureParams params;
+  params.cost =
+      flags.GetWord("cost", "squared", {"squared", "absolute"}) == "absolute"
+          ? CostKind::kAbsolute
+          : CostKind::kSquared;
+  params.fastdtw_radius = flags.GetCount("radius", 10);
+  params.wdtw_g = flags.GetDouble("g", 0.05);
+  params.adtw_omega = flags.GetDouble("omega", 0.1, 0.0);
+  params.lcss_epsilon = flags.GetDouble("epsilon", 0.1, 0.0);
+  params.erp_gap = flags.GetDouble("gap", 0.0);
+  params.msm_cost = flags.GetDouble("c", 1.0, 0.0);
+  flags.Finalize();
+  if (files.size() != 2) Fail("dist needs two series files");
+  TimeSeries a = LoadSeriesOrDie(files[0]);
+  TimeSeries b = LoadSeriesOrDie(files[1]);
+  if (znorm) {
     ZNormalizeInPlace(a.mutable_values());
     ZNormalizeInPlace(b.mutable_values());
   }
-  const CostKind cost = ParseCost(args);
-  const std::string measure = args.Flag("measure", "cdtw");
-  const double window = args.FlagDouble("window", 0.05);
-  const size_t radius = static_cast<size_t>(args.FlagInt("radius", 10));
   const size_t band = static_cast<size_t>(
       window * static_cast<double>(std::max(a.size(), b.size())) + 0.5);
-
   // Every distance-only evaluation goes through the measure registry; the
   // explicit band_cells reproduces this command's historical half-up band
   // rounding exactly. Path-printing stays special-cased on the four
   // path-capable measures.
-  MeasureParams params;
   params.band_cells = static_cast<long>(band);
-  params.cost = cost;
-  params.fastdtw_radius = radius;
-  params.wdtw_g = args.FlagDouble("g", 0.05);
-  params.adtw_omega = args.FlagDouble("omega", 0.1);
-  params.lcss_epsilon = args.FlagDouble("epsilon", 0.1);
-  params.erp_gap = args.FlagDouble("gap", 0.0);
-  params.msm_cost = args.FlagDouble("c", 1.0);
 
   Stopwatch watch;
   double distance = 0.0;
   DtwResult result;
   bool have_path = false;
-  if (args.Has("path") && measure == "cdtw") {
-    result = Cdtw(a.view(), b.view(), band, cost);
+  if (want_path && measure == "cdtw") {
+    result = Cdtw(a.view(), b.view(), band, params.cost);
     distance = result.distance;
     have_path = true;
-  } else if (args.Has("path") && measure == "dtw") {
-    result = Dtw(a.view(), b.view(), cost);
+  } else if (want_path && measure == "dtw") {
+    result = Dtw(a.view(), b.view(), params.cost);
     distance = result.distance;
     have_path = true;
   } else if (measure == "fastdtw") {
-    result = FastDtw(a.view(), b.view(), radius, cost);
+    result = FastDtw(a.view(), b.view(), params.fastdtw_radius, params.cost);
     distance = result.distance;
-    have_path = args.Has("path");
+    have_path = want_path;
   } else if (measure == "fastdtw-ref") {
-    result = ReferenceFastDtw(a.view(), b.view(), radius, cost);
+    result = ReferenceFastDtw(a.view(), b.view(), params.fastdtw_radius,
+                              params.cost);
     distance = result.distance;
-    have_path = args.Has("path");
-  } else if (IsRegisteredMeasure(measure)) {
-    distance = MakeMeasure(measure, params)(a.view(), b.view());
+    have_path = want_path;
   } else {
-    Fail("unknown --measure: " + measure + " (expected one of " +
-         RegisteredMeasureNames() + ")");
+    distance = MakeMeasure(measure, params)(a.view(), b.view());
   }
   const double millis = watch.ElapsedMillis();
 
@@ -272,11 +226,13 @@ int CmdDist(const Args& args) {
   return 0;
 }
 
-int CmdSearch(const Args& args) {
-  if (args.positional.size() != 2) Fail("search needs haystack and query");
-  const TimeSeries haystack = LoadSeriesOrDie(args.positional[0]);
-  const TimeSeries query = LoadSeriesOrDie(args.positional[1]);
-  const double window = args.FlagDouble("window", 0.05);
+int CmdSearch(Flags& flags) {
+  const std::vector<std::string> files = flags.Positionals();
+  const double window = flags.GetDouble("window", 0.05, 0.0, 1.0);
+  flags.Finalize();
+  if (files.size() != 2) Fail("search needs haystack and query");
+  const TimeSeries haystack = LoadSeriesOrDie(files[0]);
+  const TimeSeries query = LoadSeriesOrDie(files[1]);
   const size_t band = static_cast<size_t>(
       window * static_cast<double>(query.size()) + 0.5);
   SearchStats stats;
@@ -295,16 +251,23 @@ int CmdSearch(const Args& args) {
   return 0;
 }
 
-int CmdClassify(const Args& args) {
-  if (args.positional.size() != 2) Fail("classify needs train and test");
-  const Dataset train = LoadDatasetOrDie(args.positional[0]);
-  const Dataset test = LoadDatasetOrDie(args.positional[1]);
+int CmdClassify(Flags& flags) {
+  const std::vector<std::string> files = flags.Positionals();
+  const bool auto_window = flags.Has("auto-window");
+  const int64_t max_percent = flags.GetInt("auto-window", 10, 0, 100);
+  const double window = flags.GetDouble("window", 0.05, 0.0, 1.0);
+  const bool cap_band = flags.Has("max-band");
+  const size_t max_band = flags.GetCount("max-band", 0);
+  const size_t threads = flags.GetCount("threads", 1);
+  flags.Finalize();
+  if (files.size() != 2) Fail("classify needs train and test");
+  const Dataset train = LoadDatasetOrDie(files[0]);
+  const Dataset test = LoadDatasetOrDie(files[1]);
   const size_t length = train.UniformLength();
   if (length == 0) Fail("training series must share one length");
 
   size_t band;
-  if (args.Has("auto-window")) {
-    const long max_percent = args.FlagInt("auto-window", 10);
+  if (auto_window) {
     const WindowSearchResult search = FindBestWindowLoocv(
         train, static_cast<size_t>(max_percent) * length / 100,
         std::max<size_t>(1, length / 100));
@@ -314,27 +277,28 @@ int CmdClassify(const Args& args) {
                  band, search.best_window_percent(length),
                  search.best_accuracy);
   } else {
-    band = static_cast<size_t>(args.FlagDouble("window", 0.05) *
-                               static_cast<double>(length) + 0.5);
+    band = static_cast<size_t>(window * static_cast<double>(length) + 0.5);
   }
-  if (args.Has("max-band")) {
-    band = std::min(band, static_cast<size_t>(args.FlagInt("max-band", 0)));
-  }
+  if (cap_band) band = std::min(band, max_band);
 
   const AcceleratedNnClassifier classifier(train, band);
-  const ClassificationStats stats =
-      classifier.Evaluate(test, ParseThreads(args));
+  const ClassificationStats stats = classifier.Evaluate(test, threads);
   std::printf("accuracy\t%.6f\nerror\t%.6f\ntime_s\t%.3f\nband\t%zu\n",
               stats.accuracy, stats.error_rate, stats.seconds, band);
   return 0;
 }
 
-int CmdCluster(const Args& args) {
-  if (args.positional.size() != 1) Fail("cluster needs a dataset file");
-  const Dataset dataset = LoadDatasetOrDie(args.positional[0]);
-  const double window = args.FlagDouble("window", 0.1);
-  const std::string measure = args.Flag("measure", "cdtw");
-  const size_t radius = static_cast<size_t>(args.FlagInt("radius", 10));
+int CmdCluster(Flags& flags, const std::vector<std::string>& files) {
+  const double window = flags.GetDouble("window", 0.1, 0.0, 1.0);
+  const std::string measure = MeasureFlag(flags);
+  const size_t radius = flags.GetCount("radius", 10);
+  const std::string linkage_name =
+      flags.GetWord("linkage", "average", {"single", "complete", "average"});
+  const size_t k = flags.GetCount("k", 0);
+  const size_t threads = flags.GetCount("threads", 1);
+  flags.Finalize();
+  if (files.size() != 1) Fail("cluster needs a dataset file");
+  const Dataset dataset = LoadDatasetOrDie(files[0]);
 
   std::vector<std::vector<double>> series;
   std::vector<std::string> labels;
@@ -345,29 +309,20 @@ int CmdCluster(const Args& args) {
   }
   // The registry's fraction mode uses the same llround rule as
   // CdtwDistanceFraction, so banded measures resolve their band per pair.
-  if (!IsRegisteredMeasure(measure)) {
-    Fail("unknown --measure: " + measure + " (expected one of " +
-         RegisteredMeasureNames() + ")");
-  }
   MeasureParams params;
   params.window_fraction = window;
   params.fastdtw_radius = radius;
   const SeriesMeasure fn = MakeMeasure(measure, params);
 
-  const DistanceMatrix matrix =
-      ComputePairwiseMatrix(series, fn, ParseThreads(args));
-  const std::string linkage_name = args.Flag("linkage", "average");
-  Linkage linkage = Linkage::kAverage;
-  if (linkage_name == "single") linkage = Linkage::kSingle;
-  else if (linkage_name == "complete") linkage = Linkage::kComplete;
-  else if (linkage_name != "average") Fail("unknown --linkage");
+  const DistanceMatrix matrix = ComputePairwiseMatrix(series, fn, threads);
+  const Linkage linkage = linkage_name == "single"     ? Linkage::kSingle
+                          : linkage_name == "complete" ? Linkage::kComplete
+                                                       : Linkage::kAverage;
 
   const Dendrogram dendrogram = AgglomerativeCluster(matrix, linkage);
   std::printf("%s\n", dendrogram.ToNewick(labels).c_str());
-  const long k = args.FlagInt("k", 0);
   if (k > 0) {
-    const std::vector<int> cut =
-        dendrogram.CutIntoClusters(static_cast<size_t>(k));
+    const std::vector<int> cut = dendrogram.CutIntoClusters(k);
     for (size_t i = 0; i < cut.size(); ++i) {
       std::printf("%zu\t%d\n", i, cut[i]);
     }
@@ -375,9 +330,11 @@ int CmdCluster(const Args& args) {
   return 0;
 }
 
-int CmdInfo(const Args& args) {
-  if (args.positional.size() != 1) Fail("info needs a dataset file");
-  const Dataset dataset = LoadDatasetOrDie(args.positional[0]);
+int CmdInfo(Flags& flags) {
+  const std::vector<std::string> files = flags.Positionals();
+  flags.Finalize();
+  if (files.size() != 1) Fail("info needs a dataset file");
+  const Dataset dataset = LoadDatasetOrDie(files[0]);
   std::printf("series\t%zu\n", dataset.size());
   std::vector<double> lengths;
   for (const auto& s : dataset.series()) {
@@ -393,8 +350,10 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-int CmdMeasures(const Args& args) {
-  if (args.Has("json")) {
+int CmdMeasures(Flags& flags) {
+  const bool json = flags.GetBool("json", false);
+  flags.Finalize();
+  if (json) {
     obs::JsonWriter writer;
     writer.BeginArray();
     for (const MeasureInfo& info : RegisteredMeasures()) {
@@ -420,15 +379,50 @@ int CmdMeasures(const Args& args) {
 // without, forwards stdin request lines verbatim (sent as one write, so a
 // multi-line file exercises the server's pipeline batching) and prints
 // one response line per non-empty request line.
-int CmdQuery(const Args& args) {
-  const long port = args.FlagInt("port", 0);
-  if (port <= 0) Fail("query needs --port=N (scrape warp_serve's listening line)");
+int CmdQuery(Flags& flags) {
+  const int port = static_cast<int>(flags.GetInt("port", 0, 0, 65535));
+  const std::string op = flags.GetWord(
+      "op", "",
+      {"1nn", "knn", "range", "dist", "subsequence", "ping", "info", "stats",
+       "metrics", "slowlog", "telemetry", "load", "save_snapshot",
+       "load_snapshot", "shutdown"});
+  obs::JsonWriter writer;
+  std::string query_file;
+  if (!op.empty()) {
+    writer.BeginObject().Key("id").Int(flags.GetInt("id", 1)).Key("op").String(
+        op);
+    for (const char* key : {"dataset", "path", "measure"}) {
+      if (flags.Has(key)) writer.Key(key).String(flags.GetString(key, ""));
+    }
+    if (flags.Has("window")) {
+      writer.Key("window").Double(flags.GetDouble("window", 0.0, 0.0, 1.0));
+    }
+    if (flags.Has("cost")) {
+      writer.Key("cost").String(
+          flags.GetWord("cost", "", {"squared", "absolute"}));
+    }
+    for (const char* key : {"band", "k", "index"}) {
+      if (flags.Has(key)) writer.Key(key).Int(flags.GetInt(key, 0, 0));
+    }
+    if (flags.Has("threshold")) {
+      writer.Key("threshold").Double(flags.GetDouble("threshold", 0.0));
+    }
+    if (flags.Has("deadline-ms")) {
+      writer.Key("deadline_ms")
+          .Double(flags.GetDouble("deadline-ms", 0.0, 0.0));
+    }
+    if (flags.Has("znorm")) {
+      writer.Key("znorm").Bool(flags.GetBool("znorm", true));
+    }
+    query_file = flags.GetString("query-file", "");
+  }
+  flags.Finalize();
+  if (port == 0) Fail("query needs --port=N (the server's ready line)");
   std::string error;
-  serve::TcpConn conn =
-      serve::ConnectLoopback(static_cast<int>(port), &error);
+  serve::TcpConn conn = serve::ConnectLoopback(port, &error);
   if (!conn.valid()) Fail(error);
 
-  if (!args.Has("op")) {
+  if (op.empty()) {
     std::string payload;
     std::string line;
     size_t expected = 0;
@@ -446,35 +440,8 @@ int CmdQuery(const Args& args) {
     return 0;
   }
 
-  obs::JsonWriter writer;
-  writer.BeginObject()
-      .Key("id").Int(args.FlagInt("id", 1))
-      .Key("op").String(args.Flag("op", ""));
-  if (args.Has("dataset")) {
-    writer.Key("dataset").String(args.Flag("dataset", ""));
-  }
-  if (args.Has("path")) writer.Key("path").String(args.Flag("path", ""));
-  if (args.Has("measure")) {
-    writer.Key("measure").String(args.Flag("measure", ""));
-  }
-  if (args.Has("window")) {
-    writer.Key("window").Double(args.FlagDouble("window", 0.0));
-  }
-  if (args.Has("band")) writer.Key("band").Int(args.FlagInt("band", 0));
-  if (args.Has("cost")) writer.Key("cost").String(args.Flag("cost", ""));
-  if (args.Has("k")) writer.Key("k").Int(args.FlagInt("k", 1));
-  if (args.Has("index")) writer.Key("index").Int(args.FlagInt("index", 0));
-  if (args.Has("threshold")) {
-    writer.Key("threshold").Double(args.FlagDouble("threshold", 0.0));
-  }
-  if (args.Has("deadline-ms")) {
-    writer.Key("deadline_ms").Double(args.FlagDouble("deadline-ms", 0.0));
-  }
-  if (args.Has("znorm")) {
-    writer.Key("znorm").Bool(args.Flag("znorm", "true") != "false");
-  }
-  if (args.Has("query-file")) {
-    const TimeSeries query = LoadSeriesOrDie(args.Flag("query-file", ""));
+  if (!query_file.empty()) {
+    const TimeSeries query = LoadSeriesOrDie(query_file);
     writer.Key("query").BeginArray();
     for (double value : query.values()) writer.Double(value);
     writer.EndArray();
@@ -530,43 +497,34 @@ void PrintProfile(const obs::MetricsSnapshot& delta,
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2 || std::strcmp(argv[1], "help") == 0 ||
-      std::strcmp(argv[1], "--help") == 0) {
+  Flags flags(argc, argv);
+  const bool help = flags.GetBool("help", false);
+  const std::string command = flags.NextPositional();
+  if (help || command.empty() || command == "help") {
     std::fputs(kHelp, stdout);
-    return argc < 2 ? 1 : 0;
+    return help || !command.empty() ? 0 : 1;
   }
-  const Args args = Parse(argc, argv);
-  if (args.Has("simd")) {
-    simd::SimdMode mode;
-    const std::string text = args.Flag("simd", "auto");
-    if (!simd::ParseSimdMode(text, &mode)) {
-      std::fprintf(stderr,
-                   "warp_cli: invalid --simd=%s (expected on, off, or auto)\n",
-                   text.c_str());
-      return 2;
-    }
-    simd::SetSimdMode(mode);
-  }
-  const bool profile = args.Has("profile");
+  simd::SimdFlag(flags);
+  const bool profile = flags.GetBool("profile", false);
   const obs::MetricsSnapshot before = obs::SnapshotCounters();
   const obs::HistogramSnapshot histograms_before = obs::SnapshotHistograms();
-  const std::string command = argv[1];
   int status = -1;
-  if (command == "dist") status = CmdDist(args);
-  else if (command == "search") status = CmdSearch(args);
-  else if (command == "classify") status = CmdClassify(args);
-  // `cluster` is dual-mode: with a positional dataset file it is
-  // hierarchical clustering; flags-only it launches the multi-process
-  // serving cluster (tools/cluster_main.h).
-  else if (command == "cluster" && !args.positional.empty())
-    status = CmdCluster(args);
-  else if (command == "cluster")
-    status = tools::ClusterToolMain(args.flags,
-                                    tools::SiblingWorkerBinary(argv[0]));
-  else if (command == "info") status = CmdInfo(args);
-  else if (command == "measures") status = CmdMeasures(args);
-  else if (command == "query") status = CmdQuery(args);
-  else if (command == "serve") status = tools::ServeToolMain(args.flags);
+  if (command == "dist") status = CmdDist(flags);
+  else if (command == "search") status = CmdSearch(flags);
+  else if (command == "classify") status = CmdClassify(flags);
+  else if (command == "cluster") {
+    // `cluster` is dual-mode: with a positional dataset file it is
+    // hierarchical clustering; flags-only it launches the multi-process
+    // serving cluster (tools/cluster_main.h).
+    const std::vector<std::string> files = flags.Positionals();
+    status = files.empty() ? tools::ClusterToolMain(
+                                 flags, tools::SiblingWorkerBinary(argv[0]))
+                           : CmdCluster(flags, files);
+  }
+  else if (command == "info") status = CmdInfo(flags);
+  else if (command == "measures") status = CmdMeasures(flags);
+  else if (command == "query") status = CmdQuery(flags);
+  else if (command == "serve") status = tools::ServeToolMain(flags);
   else Fail("unknown command: " + command + " (try `warp_cli help`)");
   if (profile) {
     PrintProfile(obs::CountersSince(before),

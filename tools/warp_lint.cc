@@ -1,7 +1,7 @@
 // warp_lint — the repository's dependency-free static analyzer.
 //
 // Runs the lintkit rule set (docs/STATIC_ANALYSIS.md) over the source
-// tree: seven token-level convention rules plus the cross-file project
+// tree: the token-level convention rules plus the cross-file project
 // invariants (module layering, own-header-first, counter cross-
 // reference, measure coverage, bench flag wiring, test registration,
 // pragma hygiene). scripts/lint.sh builds and drives this binary, so
@@ -14,67 +14,26 @@
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "warp/common/flags.h"
 #include "warp/lintkit/analyzer.h"
 
-namespace {
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: warp_lint [--root=DIR] [--json=PATH] [--disable=rule,rule]\n"
-      "                 [--quiet] [--list-rules]\n");
-  return 2;
-}
-
-std::vector<std::string> SplitCommas(const std::string& list) {
-  std::vector<std::string> out;
-  size_t begin = 0;
-  while (begin <= list.size()) {
-    const size_t comma = list.find(',', begin);
-    const std::string item = list.substr(
-        begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  warp::Flags flags(argc, argv);
   warp::lintkit::AnalyzerConfig config;
-  std::string json_path;
-  bool quiet = false;
-  bool list_rules = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    if (arg.rfind("--root=", 0) == 0) {
-      config.root = value_of("--root=");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = value_of("--json=");
-    } else if (arg.rfind("--disable=", 0) == 0) {
-      for (std::string& rule : SplitCommas(value_of("--disable="))) {
-        config.disabled_rules.push_back(std::move(rule));
-      }
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else {
-      std::fprintf(stderr, "warp_lint: unknown argument '%s'\n", arg.c_str());
-      return Usage();
+  config.root = flags.GetString("root", config.root);
+  const std::string json_path = flags.GetString("json", "");
+  for (const std::string& list : flags.GetAll("disable")) {
+    for (std::string& rule : warp::SplitList(list)) {
+      config.disabled_rules.push_back(std::move(rule));
     }
   }
+  const bool quiet = flags.GetBool("quiet", false);
+  const bool list_rules = flags.GetBool("list-rules", false);
+  flags.Finalize();
 
   if (list_rules) {
     for (const warp::lintkit::RuleStatus& rule : warp::lintkit::AllRules()) {

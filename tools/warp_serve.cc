@@ -5,35 +5,20 @@
 //
 // Prints "warp_serve listening on 127.0.0.1:<port>" once bound, then
 // serves line-delimited JSON requests until a client sends
-// {"op":"shutdown"}. Protocol: docs/SERVING.md. Flags: tools/serve_main.h
-// (shared with `warp_cli serve`).
+// {"op":"shutdown"}. Protocol: docs/SERVING.md. Flags: `warp_serve --help`
+// (tools/serve_main.h, shared with `warp_cli serve`).
 
 #include <cstdio>
-#include <cstring>
 
 #include "serve_main.h"
+#include "warp/simd/dispatch.h"
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "help") == 0 ||
-                   std::strcmp(argv[1], "--help") == 0)) {
-    std::fputs(
-        "warp_serve — loopback DTW query server (docs/SERVING.md)\n"
-        "  --port=N                 listen port (default 0 = auto)\n"
-        "  --threads=N              engine workers (default 1; 0 = cores)\n"
-        "  --shards=N               store shards per dataset (default 1)\n"
-        "  --cache=N                result-cache entries (default 256)\n"
-        "  --bands=F,F              indexed window fractions (default .05,.1)\n"
-        "  --data=NAME=PATH         serve a UCR file (repeatable)\n"
-        "  --gen=NAME=COUNT,LEN[,SEED]  serve a synthetic random-walk set\n"
-        "  --snapshot-dir=PATH      auto-load *.wsnap snapshots at startup\n"
-        "  --max-queue-depth=N      admission gate: pending submissions\n"
-        "                           beyond N fast-fail \"overloaded\" (0=off)\n"
-        "  --worker --shard-id=K --shard-count=N\n"
-        "                           cluster worker mode: serve only shard K\n"
-        "                           of N; queries must arrive stamped\n"
-        "                           \"shard\":K (docs/SERVING.md)\n",
-        stdout);
+  warp::Flags flags(argc, argv);
+  if (flags.GetBool("help", false)) {
+    std::fputs(warp::tools::kServeHelp, stdout);
     return 0;
   }
-  return warp::tools::ServeToolMain(warp::tools::ParseToolFlags(argc, argv, 1));
+  warp::simd::SimdFlag(flags);
+  return warp::tools::ServeToolMain(flags);
 }
