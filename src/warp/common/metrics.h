@@ -60,7 +60,6 @@ namespace obs {
   X(kPrunedDtwCellsSkipped, "pruned_dtw_cells_skipped")   \
   X(kPathEngineCells, "path_engine_cells")                \
   X(kPathEngineBytes, "path_engine_bytes")                \
-  X(kSubsequenceCells, "subsequence_cells")               \
   /* FastDTW, optimized port (fastdtw.cc). */             \
   X(kFastDtwCells, "fastdtw_cells")                       \
   X(kFastDtwLevels, "fastdtw_levels")                     \

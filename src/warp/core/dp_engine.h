@@ -1,10 +1,10 @@
 // The one banded two-row DP engine behind every elastic measure.
 //
 // Each elastic kernel in this library — full/banded/abandoning/pruned DTW,
-// WDTW, ADTW, DDTW, LCSS, ERP, MSM, subsequence DTW, and both FastDTW
-// base cases — is the same machine-sympathetic inner loop wearing a
-// different local-cost recurrence. This header factors that loop out once
-// and expresses every kernel as a policy bundle over it:
+// WDTW, ADTW, DDTW, LCSS, ERP, MSM, and both FastDTW base cases — is the
+// same machine-sympathetic inner loop wearing a different local-cost
+// recurrence. This header factors that loop out once and expresses every
+// kernel as a policy bundle over it:
 //
 //   * RowRange   — which columns row i visits (full, Sakoe–Chiba band,
 //                  square band, arbitrary WarpingWindow).
@@ -27,10 +27,9 @@
 //
 // A second, materialized engine (dp::MaterializedDp) backs the
 // path-recovering variants: it fills the window's cells, then walks back
-// from the anchor along minimal predecessors under a pluggable tie order
-// (diagonal-preferring for this library's kernels, up/left/diagonal for
-// the reference FastDTW port) and anchor rule (both corners, or the free
-// start/end rows of subsequence DTW).
+// from (n-1, m-1) to (0, 0) along minimal predecessors under a pluggable
+// tie order (diagonal-preferring for this library's kernels, up/left/
+// diagonal for the reference FastDTW port).
 
 #ifndef WARP_CORE_DP_ENGINE_H_
 #define WARP_CORE_DP_ENGINE_H_
@@ -280,30 +279,6 @@ struct AdtwPolicy {
   double Finish(const double* row, size_t m) const { return row[m]; }
 };
 
-// Subsequence DTW distance (Müller): free start — every column of the
-// virtual top row costs 0, so row 0 pays only its own cell — and free
-// end — the answer is the cheapest cell of the last row.
-template <typename CellCostFn>
-struct FreeEndsMinPlusPolicy {
-  CellCostFn cost;
-
-  void InitTopRow(double* top, size_t m) { std::fill_n(top, m + 1, 0.0); }
-  double LeftBoundary(size_t /*i*/) const { return kInf; }
-  double Cell(size_t i, size_t j, double diag, double up, double left) const {
-    double best = diag;
-    if (up < best) best = up;
-    if (left < best) best = left;
-    return best + cost(i, j);
-  }
-  double Finish(const double* row, size_t m) const {
-    double best = row[1];
-    for (size_t j = 2; j <= m; ++j) {
-      if (row[j] < best) best = row[j];
-    }
-    return best;
-  }
-};
-
 // ERP (Chen & Ng, 2004): L1 edit distance with gaps charged against a
 // fixed reference value. Both boundaries are gap prefix sums; the left
 // boundary accumulates across rows, which is why this policy is stateful
@@ -457,8 +432,7 @@ struct BandPruner {
 // contract, see warp/simd/dp_simd.h): the plain min-plus family over a
 // 1-D series cost (DTW/cDTW/DDTW), its amerced variant (ADTW), and ERP.
 // Everything else — WDTW's per-cell weight lookup, LCSS's band-gated max,
-// MSM's three-way move costs, multichannel costs, free-ends reads of the
-// whole last row — keeps the row engine.
+// MSM's three-way move costs, multichannel costs — keeps the row engine.
 
 template <typename Policy>
 struct WaveSpec {
@@ -741,8 +715,8 @@ double BandedTwoRowEngine(size_t n, size_t m, size_t band, Policy policy,
 // The materialized (path-recovering) engine.
 //
 // Fills the cumulative-cost value of every window cell (flattened
-// row-major with per-row offsets), then walks back from the anchor along
-// minimal predecessors.
+// row-major with per-row offsets), then walks back from (n-1, m-1) to
+// (0, 0) along minimal predecessors.
 
 // Traceback tie orders. Candidates are probed in the policy's order; the
 // first available candidate seeds the choice and later ones must be
@@ -762,27 +736,13 @@ struct ReferenceTie {
   static constexpr Move kOrder[3] = {Move::kUp, Move::kLeft, Move::kDiag};
 };
 
-// Anchor rules.
-struct CornerAnchors {
-  // Paths run (0, 0) .. (n-1, m-1).
-  static constexpr bool kFreeEnds = false;
-};
-struct FreeEndsAnchors {
-  // Subsequence DTW: the path may start at any column of row 0 and end at
-  // any column of row n-1; the end is the cheapest last-row cell (first
-  // minimum wins) and traceback stops on reaching row 0.
-  static constexpr bool kFreeEnds = true;
-};
-
 struct MaterializedResult {
   double distance = 0.0;
   std::vector<PathPoint> path;
   uint64_t cells_visited = 0;
-  size_t end_col = 0;  // FreeEndsAnchors: the chosen last-row column.
 };
 
-template <typename Tie = PreferDiagonalTie, typename Anchors = CornerAnchors,
-          typename CellCostFn>
+template <typename Tie = PreferDiagonalTie, typename CellCostFn>
 MaterializedResult MaterializedDp(size_t n, size_t m,
                                   const WarpingWindow& window,
                                   CellCostFn&& cell_cost,
@@ -812,9 +772,7 @@ MaterializedResult MaterializedDp(size_t n, size_t m,
     const auto& r = window.range(i);
     for (size_t j = r.lo; j <= r.hi; ++j) {
       double best;
-      const bool anchored =
-          Anchors::kFreeEnds ? i == 0 : (i == 0 && j == 0);
-      if (anchored) {
+      if (i == 0 && j == 0) {
         best = 0.0;
       } else {
         best = kInf;
@@ -828,22 +786,7 @@ MaterializedResult MaterializedDp(size_t n, size_t m,
 
   MaterializedResult result;
   result.cells_visited = offsets[n];
-  size_t end = m - 1;
-  if constexpr (Anchors::kFreeEnds) {
-    double best = kInf;
-    end = 0;
-    for (size_t j = 0; j < m; ++j) {
-      const double v = value_at(n - 1, j);
-      if (v < best) {
-        best = v;
-        end = j;
-      }
-    }
-    result.distance = best;
-  } else {
-    result.distance = value_at(n - 1, m - 1);
-  }
-  result.end_col = end;
+  result.distance = value_at(n - 1, m - 1);
   WARP_CHECK_MSG(std::isfinite(result.distance),
                  "window admits no complete warping path");
 
@@ -851,12 +794,9 @@ MaterializedResult MaterializedDp(size_t n, size_t m,
   // re-deriving each step's first-minimal predecessor reproduces exactly
   // the parent a forward pointer would have recorded.
   size_t i = n - 1;
-  size_t j = end;
+  size_t j = m - 1;
   result.path.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j)});
-  auto done = [&] {
-    return Anchors::kFreeEnds ? i == 0 : (i == 0 && j == 0);
-  };
-  while (!done()) {
+  while (i > 0 || j > 0) {
     double best = kInf;
     int move = -1;
     for (const Move cand : Tie::kOrder) {

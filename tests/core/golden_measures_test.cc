@@ -28,7 +28,6 @@
 #include "warp/core/fastdtw.h"
 #include "warp/core/fastdtw_reference.h"
 #include "warp/core/measure.h"
-#include "warp/core/subsequence_dtw.h"
 #include "warp/core/wdtw.h"
 #include "warp/core/window.h"
 #include "warp/ts/multi_series.h"
@@ -161,20 +160,11 @@ TEST(GoldenMeasuresTest, UnequalLengthPins) {
   EXPECT_EQ(ReferenceFastDtw(a, u96, 10).distance, 0x1.2678a586a9859p+13);
 }
 
-// Kernel-level pins beyond the registry surface: subsequence alignment,
-// pruning, early abandoning, path recovery, FastDTW cell accounting,
-// arbitrary windows, the absolute cost, and the multivariate kernels.
+// Kernel-level pins beyond the registry surface: pruning, early
+// abandoning, path recovery, FastDTW cell accounting, arbitrary windows,
+// the absolute cost, and the multivariate kernels.
 TEST(GoldenMeasuresTest, KernelPins) {
   const std::vector<std::vector<double>> s = GoldenSeries();
-  const std::vector<double> u96 = GoldenWalk(2000, 96);
-  const std::vector<double> q32 = GoldenWalk(3000, 32);
-
-  EXPECT_EQ(SubsequenceDtwDistance(q32, u96), 0x1.996c4dcebe38bp+3);
-  const SubsequenceAlignment align = SubsequenceDtw(q32, u96);
-  EXPECT_EQ(align.distance, 0x1.996c4dcebe38bp+3);
-  EXPECT_EQ(align.start, 7u);
-  EXPECT_EQ(align.end, 28u);
-  EXPECT_EQ(align.path.size(), 39u);
 
   EXPECT_EQ(PrunedCdtwDistance(s[0], s[1], kBand64), 0x1.d458ce59abf3cp+8);
   EXPECT_EQ(CdtwDistanceAbandoning(s[0], s[1], kBand64, 1e30),

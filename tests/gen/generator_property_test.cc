@@ -12,7 +12,6 @@
 #include "warp/gen/gesture.h"
 #include "warp/gen/power_demand.h"
 #include "warp/gen/random_walk.h"
-#include "warp/gen/seismic.h"
 
 namespace warp {
 namespace gen {
@@ -89,17 +88,6 @@ TEST_P(GeneratorPropertyTest, PowerNightsFiniteAndNonNegativeBaseline) {
   EXPECT_EQ(night.size(), length);
   EXPECT_TRUE(AllFinite(night.view()));
   EXPECT_GE(night.Min(), 0.0);  // Power demand cannot be negative.
-}
-
-TEST_P(GeneratorPropertyTest, SeismicTracesFinite) {
-  const auto [length, seed] = GetParam();
-  if (length < 100) GTEST_SKIP();
-  SeismicOptions options;
-  options.length = length;
-  options.seed = seed;
-  const auto [a, b] = MakeSeismicPair(options);
-  EXPECT_TRUE(AllFinite(a));
-  EXPECT_TRUE(AllFinite(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,7 +12,6 @@
 #include "warp/gen/fall.h"
 #include "warp/gen/gesture.h"
 #include "warp/gen/power_demand.h"
-#include "warp/gen/seismic.h"
 #include "warp/gen/random_walk.h"
 #include "warp/gen/warping.h"
 #include "warp/ts/paa.h"
@@ -193,44 +192,6 @@ TEST(FallTest, AlignmentRequiresNearFullWarping) {
   const double narrow = CdtwDistanceFraction(early, late, 0.05);
   // With only 5% warping the falls cannot be aligned.
   EXPECT_GT(narrow, full * 5.0);
-}
-
-TEST(SeismicTest, PairAlignsUnderNarrowWindowOnly) {
-  // Case B's structure: long N, tiny W — the arrivals match after a
-  // sub-1% warp; Euclidean pays for the misalignment.
-  SeismicOptions options;
-  options.length = 4000;
-  const auto [a, b] = MakeSeismicPair(options);
-  ASSERT_EQ(a.size(), 4000u);
-  const double banded = CdtwDistanceFraction(a, b, 0.01);
-  const double euclidean = EuclideanDistance(a, b);
-  EXPECT_LT(banded, euclidean * 0.7);
-}
-
-TEST(SeismicTest, ArrivalsOrderedAndEnergetic) {
-  SeismicOptions options;
-  options.length = 4000;
-  Rng rng(300);
-  const std::vector<double> trace = MakeSeismicTrace(options, rng);
-  // Pre-arrival quiet vs post-S energy.
-  double quiet = 0.0;
-  double loud = 0.0;
-  const size_t p_onset = static_cast<size_t>(0.25 * 4000);
-  const size_t s_onset = static_cast<size_t>(0.45 * 4000);
-  for (size_t t = 0; t < p_onset; ++t) quiet += trace[t] * trace[t];
-  for (size_t t = s_onset; t < s_onset + p_onset; ++t) {
-    loud += trace[t] * trace[t];
-  }
-  EXPECT_GT(loud, 10.0 * quiet);
-}
-
-TEST(SeismicTest, DeterministicPerSeed) {
-  SeismicOptions options;
-  options.length = 500;
-  const auto pair1 = MakeSeismicPair(options);
-  const auto pair2 = MakeSeismicPair(options);
-  EXPECT_EQ(pair1.first, pair2.first);
-  EXPECT_EQ(pair1.second, pair2.second);
 }
 
 TEST(NormalizedDtwTest, PerStepNormalizationBounds) {

@@ -5,14 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "warp/core/distance_matrix.h"
 #include "warp/core/dtw.h"
 #include "warp/core/fastdtw.h"
 #include "warp/gen/gesture.h"
-#include "warp/gen/power_demand.h"
 #include "warp/mining/dba.h"
-#include "warp/mining/hierarchical_clustering.h"
-#include "warp/mining/kmeans.h"
 #include "warp/mining/nn_classifier.h"
 #include "warp/mining/window_search.h"
 #include "warp/ts/io.h"
@@ -69,46 +65,6 @@ TEST(PipelineTest, SaveLoadRoundTripPreservesClassification) {
     EXPECT_EQ(original.Classify(test[q].view()).label,
               reloaded.Classify(test2[q].view()).label);
   }
-}
-
-TEST(PipelineTest, HierarchicalAndKMeansAgreeOnEasyData) {
-  // Two visually distinct power-demand regimes; both clusterers should
-  // produce the same 2-way partition.
-  const Dataset month = gen::MakePowerDemandDataset(24, 200, 0.5, 777);
-  std::vector<std::vector<double>> traces;
-  std::vector<int> labels;
-  for (const auto& night : month.series()) {
-    traces.push_back(night.values());
-    labels.push_back(night.label());
-  }
-  // Skip degenerate draws (all one class).
-  if (month.Labels().size() < 2) GTEST_SKIP();
-
-  const DistanceMatrix matrix = ComputePairwiseMatrix(
-      traces, [](std::span<const double> a, std::span<const double> b) {
-        return CdtwDistanceFraction(a, b, 0.4);
-      });
-  const std::vector<int> hierarchical =
-      AgglomerativeCluster(matrix, Linkage::kAverage).CutIntoClusters(2);
-
-  KMeansOptions options;
-  options.k = 2;
-  options.band = 80;
-  options.seed = 5;
-  const std::vector<int> kmeans = DtwKMeans(traces, options).assignment;
-
-  // Compare partitions via pair agreement (label-permutation safe).
-  size_t agree = 0;
-  size_t total = 0;
-  for (size_t i = 0; i < traces.size(); ++i) {
-    for (size_t j = i + 1; j < traces.size(); ++j) {
-      const bool same_h = hierarchical[i] == hierarchical[j];
-      const bool same_k = kmeans[i] == kmeans[j];
-      agree += (same_h == same_k) ? 1 : 0;
-      ++total;
-    }
-  }
-  EXPECT_GT(static_cast<double>(agree) / static_cast<double>(total), 0.9);
 }
 
 TEST(PipelineTest, DbaPrototypeClassifiesItsOwnClass) {

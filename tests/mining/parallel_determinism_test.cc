@@ -16,7 +16,6 @@
 #include "warp/core/dtw.h"
 #include "warp/core/fastdtw.h"
 #include "warp/gen/gesture.h"
-#include "warp/mining/kmeans.h"
 #include "warp/mining/nn_classifier.h"
 
 namespace warp {
@@ -170,32 +169,6 @@ TEST(ParallelDeterminismTest, TimeAllPairsParallelFastDtwChecksum) {
     const bench::PairwiseTiming many =
         bench::TimeAllPairsParallel(data, data.size(), threads, factory);
     EXPECT_EQ(many.checksum, one.checksum) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDeterminismTest, KMeansBitwiseEqualAtAnyThreadCount) {
-  const Dataset data = gen::MakeGestureDataset(9, SmallOptions());
-  const std::vector<std::vector<double>> series = RawSeries(data);
-  KMeansOptions options;
-  options.k = 3;
-  options.band = 8;
-  options.max_iterations = 4;
-  options.seed = 7;
-  const KMeansResult serial = DtwKMeans(series, options);
-  for (const size_t threads : kThreadCounts) {
-    KMeansOptions parallel_options = options;
-    parallel_options.threads = threads;
-    const KMeansResult parallel = DtwKMeans(series, parallel_options);
-    EXPECT_EQ(parallel.assignment, serial.assignment)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.inertia, serial.inertia) << "threads=" << threads;
-    EXPECT_EQ(parallel.iterations_run, serial.iterations_run);
-    EXPECT_EQ(parallel.converged, serial.converged);
-    ASSERT_EQ(parallel.centroids.size(), serial.centroids.size());
-    for (size_t c = 0; c < serial.centroids.size(); ++c) {
-      EXPECT_EQ(parallel.centroids[c], serial.centroids[c])
-          << "threads=" << threads << " centroid=" << c;
-    }
   }
 }
 
