@@ -157,4 +157,30 @@ SeriesMeasure MakeMeasure(const std::string& name,
   WARP_CHECK_MSG(false, "unregistered measure name");
 }
 
+std::string MeasureInputError(const std::string& name,
+                              const MeasureParams& params, size_t n,
+                              size_t m) {
+  const auto refuse = [&](const std::string& rule) {
+    return "measure " + name + " requires " + rule;
+  };
+  const auto got = [&] {
+    return ", got " + std::to_string(n) + " and " + std::to_string(m);
+  };
+  const bool suggests_omega = name == "adtw" && params.adtw_omega < 0.0;
+  if (name == "lcss" && !(params.lcss_epsilon >= 0.0)) {
+    return refuse("epsilon >= 0");
+  }
+  if (name == "msm" && !(params.msm_cost >= 0.0)) return refuse("c >= 0");
+  if (suggests_omega && !(params.adtw_ratio >= 0.0)) {
+    return refuse("ratio >= 0");
+  }
+  if (name == "ddtw" && std::min(n, m) < 3) {
+    return refuse("at least 3 points" + got());
+  }
+  if ((name == "ed" || name == "wdtw" || suggests_omega) && n != m) {
+    return refuse("equal lengths" + got());
+  }
+  return "";
+}
+
 }  // namespace warp

@@ -71,6 +71,20 @@ std::string RegisteredMeasureNames();
 SeriesMeasure MakeMeasure(const std::string& name,
                           const MeasureParams& params = {});
 
+// Empty when measure `name` under `params` can compare series of lengths
+// `n` and `m`; otherwise the refusal, naming the measure and the broken
+// rule. The rules are the ones the closures WARP_CHECK, so gate with this
+// when lengths or params come from user input:
+//   * ed and wdtw compare position by position, and adtw suggests its
+//     omega from the Euclidean per-step cost unless `adtw_omega` is set,
+//     so these need equal lengths;
+//   * ddtw's derivative needs at least 3 points;
+//   * lcss `lcss_epsilon`, msm `msm_cost` and a suggesting adtw's
+//     `adtw_ratio` must not be negative.
+std::string MeasureInputError(const std::string& name,
+                              const MeasureParams& params, size_t n,
+                              size_t m);
+
 }  // namespace warp
 
 #endif  // WARP_CORE_MEASURE_H_

@@ -104,8 +104,9 @@ bool ParseRequestLine(const std::string& line, ParsedLine* out,
           return false;
         }
         for (const JsonValue& band : bands->AsArray()) {
-          if (!band.is_number() || band.AsNumber() < 0) {
-            *error = "'bands' entries must be non-negative numbers";
+          if (!band.is_number() ||
+              !(band.AsNumber() >= 0.0 && band.AsNumber() <= 1.0)) {
+            *error = "'bands' entries must be fractions from 0 to 1";
             return false;
           }
           out->band_fractions.push_back(band.AsNumber());

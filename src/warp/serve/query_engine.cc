@@ -231,6 +231,28 @@ struct QueryEngine::Impl {
                        std::to_string((*snapshot)->size()) + " series)");
       return false;
     }
+    // The registry knows which lengths and params each measure's closure
+    // WARP_CHECKs; refuse those here. A scan compares the query with
+    // every series, a dist with one.
+    const StoredDataset& stored = **snapshot;
+    const size_t n = request.query.size();
+    std::string input_error;
+    if (request.op == QueryOp::kDist) {
+      input_error = MeasureInputError(request.measure, request.params, n,
+                                      stored.SeriesAt(request.index).size());
+    } else if (IsScanOp(request.op) && stored.uniform_length > 0) {
+      input_error = MeasureInputError(request.measure, request.params, n,
+                                      stored.uniform_length);
+    } else if (IsScanOp(request.op)) {
+      for (size_t i = 0; i < stored.size() && input_error.empty(); ++i) {
+        input_error = MeasureInputError(request.measure, request.params, n,
+                                        stored.SeriesAt(i).size());
+      }
+    }
+    if (!input_error.empty()) {
+      *failure = ErrorResponse(request, std::move(input_error));
+      return false;
+    }
     if (request.op == QueryOp::kKnn && request.k == 0) {
       *failure = ErrorResponse(request, "knn requires k >= 1");
       return false;

@@ -26,7 +26,6 @@ std::vector<size_t> BandsFromFractions(const std::vector<double>& fractions,
   if (length == 0) return bands;
   bands.reserve(fractions.size());
   for (double fraction : fractions) {
-    if (fraction < 0.0) continue;
     bands.push_back(
         static_cast<size_t>(std::lround(fraction * static_cast<double>(length))));
   }

@@ -42,8 +42,9 @@ struct ServerOptions {
   // cluster").
   long worker_shard = -1;
 
-  // Sakoe-Chiba fractions indexed at dataset registration: each becomes a
-  // per-series envelope set at band = round(fraction * length).
+  // Sakoe-Chiba fractions (each from 0 to 1) indexed at dataset
+  // registration: each becomes a per-series envelope set at
+  // band = round(fraction * length).
   std::vector<double> band_fractions = {0.05, 0.1};
 };
 
@@ -60,8 +61,9 @@ class Server {
   // while serving (the store swaps snapshots atomically).
   void RegisterDataset(const std::string& name, Dataset dataset);
 
-  // Loads a UCR file and registers it. Returns false and fills *error on
-  // I/O or parse failure (the dataset list is unchanged).
+  // Loads a UCR file and registers it, indexed at `band_fractions` (each
+  // from 0 to 1; empty = options.band_fractions). Returns false and fills
+  // *error on I/O or parse failure (the dataset list is unchanged).
   bool LoadDataset(const std::string& name, const std::string& path,
                    const std::vector<double>& band_fractions,
                    std::string* error);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace warp {
@@ -44,6 +45,14 @@ bool ParseUcrLine(const std::string& line, TimeSeries* series,
   double label_value = 0.0;
   if (!ParseDouble(tokens[0], &label_value)) {
     *error = "unparseable class label: '" + tokens[0] + "'";
+    return false;
+  }
+  // Integer-valued and in range for int, so the cast below is exact; the
+  // old archive's "1.0000000e+00" still reads as class 1.
+  if (label_value != std::trunc(label_value) ||
+      label_value < std::numeric_limits<int>::min() ||
+      label_value > std::numeric_limits<int>::max()) {
+    *error = "class label must be an integer: '" + tokens[0] + "'";
     return false;
   }
   std::vector<double> values;

@@ -131,9 +131,22 @@ TEST(ProtocolTest, RejectsBadQueryFields) {
   EXPECT_FALSE(ParseRequestLine(
       R"({"op": "1nn", "dataset": "d", "query": [1.0], "cost": "cubic"})",
       &parsed, &error));
-  EXPECT_FALSE(ParseRequestLine(
-      R"({"op": "load", "dataset": "d", "path": "p", "bands": [-0.1]})",
-      &parsed, &error));
+  // A band is a window fraction, as --bands and a query's window are.
+  for (const char* bands : {"[-0.1]", "[5]", "[1.5]", "[1e300]"}) {
+    EXPECT_FALSE(ParseRequestLine(
+        std::string(R"({"op": "load", "dataset": "d", "path": "p", )") +
+            R"("bands": )" + bands + "}",
+        &parsed, &error))
+        << bands;
+    EXPECT_NE(error.find("'bands' entries must be fractions from 0 to 1"),
+              std::string::npos)
+        << error;
+  }
+  ASSERT_TRUE(ParseRequestLine(
+      R"({"op": "load", "dataset": "d", "path": "p", "bands": [0, 1]})",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.band_fractions, (std::vector<double>{0.0, 1.0}));
 
   // Integer fields out of range for their type are errors, never silent
   // casts (1e300 must not read as index 0, band -2^63, or "no shard").

@@ -407,6 +407,70 @@ TEST_F(QueryEngineTest, ValidationErrorsAreDiagnosable) {
   EXPECT_FALSE(engine.Run(request).ok);
 }
 
+// ed and wdtw compare position by position, and adtw suggests its omega
+// from the Euclidean per-step cost: a query of another length is refused
+// by name, on every op and on a mixed-length dataset, instead of reaching
+// the closure's WARP_CHECK; so are a ddtw query under 3 points and the
+// negative knobs the kernels check. The engine answers the next query.
+TEST_F(QueryEngineTest, MeasureInputRulesRefuseByName) {
+  Dataset mixed = gen::RandomWalkDataset(3, kLength, 5);
+  mixed.Add(TimeSeries(std::vector<double>(kLength - 4, 1.0), 0));
+  store_.Register("mixed", std::move(mixed), {});
+  QueryEngine engine(&store_, nullptr, 2);
+  for (const std::string measure : {"ed", "wdtw", "adtw"}) {
+    for (const QueryOp op :
+         {QueryOp::k1Nn, QueryOp::kKnn, QueryOp::kRange, QueryOp::kDist}) {
+      SCOPED_TRACE(measure + " " + QueryOpName(op));
+      ServeRequest request = Request(op);
+      request.measure = measure;
+      request.k = 3;
+      request.threshold = 10.0;
+      request.query.resize(kLength - 3);
+      const std::string rule = "measure " + measure + " requires equal lengths";
+      EXPECT_EQ(engine.Run(request).error, rule + ", got 61 and 64");
+
+      request.query = query_;
+      request.dataset = "mixed";
+      request.index = 3;  // The short series, for dist.
+      EXPECT_EQ(engine.Run(request).error, rule + ", got 64 and 60");
+    }
+  }
+
+  // ddtw's derivative needs 3 points.
+  ServeRequest request = Request(QueryOp::k1Nn);
+  request.measure = "ddtw";
+  request.query.resize(2);
+  EXPECT_EQ(engine.Run(request).error,
+            "measure ddtw requires at least 3 points, got 2 and 64");
+
+  // Knobs whose kernels check their sign.
+  request = Request(QueryOp::k1Nn);
+  request.measure = "lcss";
+  request.params.lcss_epsilon = -1.0;
+  EXPECT_EQ(engine.Run(request).error, "measure lcss requires epsilon >= 0");
+  request.measure = "msm";
+  request.params.msm_cost = -1.0;
+  EXPECT_EQ(engine.Run(request).error, "measure msm requires c >= 0");
+  request.measure = "adtw";
+  request.params.adtw_ratio = -1.0;
+  EXPECT_EQ(engine.Run(request).error, "measure adtw requires ratio >= 0");
+
+  // A fixed omega lifts adtw's rules; cdtw never had one.
+  request = Request(QueryOp::k1Nn);
+  request.query.resize(kLength - 3);
+  request.measure = "adtw";
+  request.params.adtw_omega = 0.5;
+  EXPECT_TRUE(engine.Run(request).ok);
+  request.measure = "cdtw";
+  EXPECT_TRUE(engine.Run(request).ok);
+
+  request = Request(QueryOp::k1Nn);
+  request.measure = "ed";
+  const ServeResponse response = engine.Run(request);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.neighbors.size(), 1u);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace warp

@@ -213,6 +213,28 @@ TEST(ServerLoopbackTest, MalformedLinesGetErrorResponses) {
             std::string::npos);
 }
 
+// Inputs a measure's kernel would WARP_CHECK (a query length a lock-step
+// measure cannot compare, a negative knob) are refused by name; the
+// server answers each line and keeps serving.
+TEST(ServerLoopbackTest, MeasureInputErrorsAreRepliesNotAborts) {
+  LiveServer live(1);
+  const std::vector<JsonValue> responses = live.RoundTrip({
+      R"({"id": 1, "op": "1nn", "dataset": "d", "measure": "ed", )"
+      R"("query": [0, 1, 2, 3, 4, 0, 1]})",
+      R"({"id": 2, "op": "1nn", "dataset": "d", "measure": "lcss", )"
+      R"("epsilon": -1, "query": [0, 1, 2]})",
+      R"({"id": 3, "op": "ping"})",
+  });
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_FALSE(responses[0].BoolOr("ok", true));
+  EXPECT_EQ(responses[0].StringOr("error", ""),
+            "measure ed requires equal lengths, got 7 and 48");
+  EXPECT_FALSE(responses[1].BoolOr("ok", true));
+  EXPECT_EQ(responses[1].StringOr("error", ""),
+            "measure lcss requires epsilon >= 0");
+  EXPECT_TRUE(responses[2].BoolOr("ok", false));
+}
+
 // Descriptors this process holds open (Linux); -1 elsewhere.
 long OpenDescriptors() {
   std::error_code error;

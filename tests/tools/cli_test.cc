@@ -80,9 +80,11 @@ class CliTest : public ::testing::Test {
     return archive;
   }
 
-  // Runs `command` under a 20 s timeout; expects exit 2 and a stderr
-  // message naming `flag`. A hang reads as the timeout's exit 124.
-  void ExpectBadFlag(const std::string& command, const std::string& flag) {
+  // Runs `command` under a 20 s timeout; expects exit `code` and a
+  // stderr message containing `text`. A hang reads as the timeout's exit
+  // 124, an abort as 134.
+  void ExpectFailure(const std::string& command, int code,
+                     const std::string& text) {
     SCOPED_TRACE(command);
     const std::string full = "timeout 20 " + command + " 2>&1 >/dev/null";
     FILE* pipe = popen(full.c_str(), "r");
@@ -91,8 +93,13 @@ class CliTest : public ::testing::Test {
     char buffer[512];
     while (fgets(buffer, sizeof(buffer), pipe) != nullptr) message += buffer;
     const int status = pclose(pipe);
-    EXPECT_EQ(WEXITSTATUS(status), 2) << message;
-    EXPECT_NE(message.find("--" + flag), std::string::npos) << message;
+    EXPECT_EQ(WEXITSTATUS(status), code) << message;
+    EXPECT_NE(message.find(text), std::string::npos) << message;
+  }
+
+  // A usage error: exit 2, naming `flag`.
+  void ExpectBadFlag(const std::string& command, const std::string& flag) {
+    ExpectFailure(command, 2, "--" + flag);
   }
 
   std::string dir_;
@@ -242,6 +249,38 @@ TEST_F(CliTest, BadCliFlagsExitTwo) {
   ExpectBadFlag(std::string(WARP_CLI_PATH) + " classify " + dir_ +
                     "/train.tsv " + dir_ + "/test.tsv --auto-window=-3",
                 "auto-window");
+}
+
+// Series a measure cannot compare (different lengths for a measure that
+// compares position by position, under 3 points for ddtw) are an input
+// error: exit 1 naming the measure and both lengths, not an abort.
+TEST_F(CliTest, MeasureLengthErrorsExitOne) {
+  WriteSeries(dir_ + "/short.txt", {0.0, 1.0, 2.0, 1.0, 0.0});
+  std::ofstream(dir_ + "/mixed.tsv") << "1\t0\t1\t2\t1\t0\t1\t2\n"
+                                     << "2\t0\t1\t2\t1\t0\n"
+                                     << "1\t1\t2\t3\t2\t1\t2\t3\n";
+  for (const std::string measure : {"ed", "wdtw"}) {
+    ExpectFailure(std::string(WARP_CLI_PATH) + " dist " + dir_ + "/a.txt " +
+                      dir_ + "/short.txt --measure=" + measure,
+                  1,
+                  "measure " + measure + " requires equal lengths, got 7 and 5");
+  }
+  for (const std::string measure : {"ed", "wdtw", "adtw"}) {
+    ExpectFailure(std::string(WARP_CLI_PATH) + " cluster " + dir_ +
+                      "/mixed.tsv --measure=" + measure,
+                  1,
+                  "measure " + measure + " requires equal lengths, got 7 and 5");
+  }
+  WriteSeries(dir_ + "/two.txt", {0.0, 1.0});
+  ExpectFailure(std::string(WARP_CLI_PATH) + " dist " + dir_ + "/a.txt " +
+                    dir_ + "/two.txt --measure=ddtw",
+                1, "measure ddtw requires at least 3 points, got 7 and 2");
+  // A fixed omega lifts adtw's rule.
+  int code = 0;
+  RunCommand(std::string(WARP_CLI_PATH) + " dist " + dir_ + "/a.txt " + dir_ +
+                 "/short.txt --measure=adtw --omega=0.5",
+             &code);
+  EXPECT_EQ(code, 0);
 }
 
 TEST_F(CliTest, BadRunnerAndServerFlagsExitTwo) {

@@ -48,6 +48,24 @@ TEST_F(IoTest, ParseUcrLineRejectsNonFinite) {
   EXPECT_FALSE(ParseUcrLine("1\tinf", &series, &error));
 }
 
+// A class label is an integer: a fractional one is refused, not
+// truncated into another class, and so is one past int's range. The old
+// archive's exponent form of an integer still reads.
+TEST_F(IoTest, ParseUcrLineRequiresIntegerLabel) {
+  TimeSeries series;
+  std::string error;
+  for (const char* label : {"1.5", "3e9", "-3e9", "0.999999"}) {
+    SCOPED_TRACE(label);
+    EXPECT_FALSE(ParseUcrLine(std::string(label) + "\t1\t2", &series, &error));
+    EXPECT_NE(error.find("class label must be an integer"), std::string::npos)
+        << error;
+  }
+  ASSERT_TRUE(ParseUcrLine("1.0000000e+00\t1\t2", &series, &error)) << error;
+  EXPECT_EQ(series.label(), 1);
+  ASSERT_TRUE(ParseUcrLine("-2\t1\t2", &series, &error)) << error;
+  EXPECT_EQ(series.label(), -2);
+}
+
 TEST_F(IoTest, ParseUcrLineRequiresLabelAndValue) {
   TimeSeries series;
   std::string error;

@@ -177,6 +177,9 @@ int CmdDist(Flags& flags) {
   if (files.size() != 2) Fail("dist needs two series files");
   TimeSeries a = LoadSeriesOrDie(files[0]);
   TimeSeries b = LoadSeriesOrDie(files[1]);
+  const std::string input_error =
+      MeasureInputError(measure, params, a.size(), b.size());
+  if (!input_error.empty()) Fail(input_error);
   if (znorm) {
     ZNormalizeInPlace(a.mutable_values());
     ZNormalizeInPlace(b.mutable_values());
@@ -312,6 +315,11 @@ int CmdCluster(Flags& flags, const std::vector<std::string>& files) {
   MeasureParams params;
   params.window_fraction = window;
   params.fastdtw_radius = radius;
+  for (const std::vector<double>& s : series) {
+    const std::string input_error =
+        MeasureInputError(measure, params, series[0].size(), s.size());
+    if (!input_error.empty()) Fail(input_error);
+  }
   const SeriesMeasure fn = MakeMeasure(measure, params);
 
   const DistanceMatrix matrix = ComputePairwiseMatrix(series, fn, threads);
