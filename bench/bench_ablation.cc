@@ -41,7 +41,6 @@ struct CascadeConfig {
   bool kim = false;
   bool keogh = false;
   bool keogh_reversed = false;
-  bool pruned = false;  // PrunedDTW with the best-so-far as upper bound.
 };
 
 // Runs 1-NN for every test series against the train set under one
@@ -83,10 +82,7 @@ double RunCascade(const Dataset& train, const Dataset& test, size_t band,
         continue;
       }
       double d;
-      if (config.pruned) {
-        d = PrunedCdtwDistance(query, candidate, band, CostKind::kSquared,
-                               best, &buffer);
-      } else if (config.abandon) {
+      if (config.abandon) {
         d = CdtwDistanceAbandoning(query, candidate, band, best,
                                    CostKind::kSquared, &buffer);
       } else {
@@ -173,7 +169,6 @@ int Main(int argc, char** argv) {
       {"+ LB_Kim", true, true, false, false},
       {"+ LB_Keogh", true, true, true, false},
       {"+ LB_Keogh reversed", true, true, true, true},
-      {"PrunedDTW instead of abandon", false, true, true, true, true},
   };
   std::printf("A. exact 1-NN cascade (%zu train x %zu test, N=%zu, "
               "w=%zu%%):\n",

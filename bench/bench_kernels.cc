@@ -109,20 +109,6 @@ void BM_ReferenceFastDtw(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceFastDtw)->Args({128, 10})->Args({945, 10});
 
-void BM_PrunedCdtw(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t w_percent = static_cast<size_t>(state.range(1));
-  const auto x = MakeWalk(n, 3);
-  const auto y = MakeWalk(n, 4);
-  const size_t band = n * w_percent / 100;
-  DtwBuffer buffer;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(PrunedCdtwDistance(
-        x, y, band, CostKind::kSquared, -1.0, &buffer));
-  }
-}
-BENCHMARK(BM_PrunedCdtw)->Args({945, 4})->Args({945, 20});
-
 void BM_MatrixProfile(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto series = MakeWalk(n, 12);

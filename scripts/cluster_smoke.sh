@@ -15,7 +15,11 @@
 #   * after the supervisor restarts the worker, the full mix is again
 #     byte-identical to the golden, and the cluster's merged stats report
 #     the restart;
-#   * `shutdown` stops the whole cluster with exit code 0.
+#   * `shutdown` stops the whole cluster with exit code 0;
+#   * SIGTERM to a 2-shard launcher stops it with exit code 0, and no
+#     worker outlives it by more than 5 s;
+#   * SIGKILL to a 2-shard launcher leaves no worker running 5 s later
+#     (each worker gets SIGTERM when its launcher dies).
 #
 # Usage: scripts/cluster_smoke.sh [BUILD_DIR]   (default: build)
 set -u
@@ -28,6 +32,7 @@ CLI="$BUILD_DIR/tools/warp_cli"
 WORK="$(mktemp -d)"
 SERVER_PID=""
 CLUSTER_PID=""
+WORKER_PIDS=""
 
 fail() {
   echo "CLUSTER SMOKE FAIL: $*" >&2
@@ -35,6 +40,7 @@ fail() {
   [ -f "$WORK/cluster.log" ] && sed 's/^/  cluster: /' "$WORK/cluster.log" >&2
   [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2> /dev/null
   [ -n "$CLUSTER_PID" ] && kill "$CLUSTER_PID" 2> /dev/null
+  [ -n "$WORKER_PIDS" ] && kill -KILL $WORKER_PIDS 2> /dev/null
   rm -rf "$WORK"
   exit 1
 }
@@ -171,6 +177,60 @@ wait "$CLUSTER_PID"
 CODE=$?
 [ "$CODE" -eq 0 ] || fail "cluster exited $CODE after shutdown"
 CLUSTER_PID=""
+
+# --- Signals: no worker outlives its launcher -------------------------------
+# gone PID: true once PID has exited. A zombie counts as gone: an orphan
+# waits for PID 1 to reap it, and a container's PID 1 may never do so.
+gone() {
+  local state
+  state="$(sed -n 's/^.*) \([A-Za-z]\) .*$/\1/p' "/proc/$1/stat" 2> /dev/null)"
+  [ -z "$state" ] || [ "$state" = "Z" ]
+}
+
+# start_signal_cluster LOG: a 2-shard cluster; sets CLUSTER_PID and
+# WORKER_PIDS.
+start_signal_cluster() {
+  "$CLUSTER" --shards=2 --snapshot-dir="$WORK/snapdir" > "$1" &
+  CLUSTER_PID=$!
+  wait_ready_port "$1" "$CLUSTER_PID" > /dev/null \
+      || fail "2-shard cluster never came up"
+  WORKER_PIDS="$(sed -n 's/^worker shard=[0-9]* pid=\([0-9]*\).*/\1/p' "$1" \
+      | tr '\n' ' ')"
+  [ "$(echo "$WORKER_PIDS" | wc -w)" -eq 2 ] \
+      || fail "expected 2 worker pid lines, got: $WORKER_PIDS"
+}
+
+# workers_gone: every pid in WORKER_PIDS is gone within 5 s.
+workers_gone() {
+  local pid alive
+  for _ in $(seq 1 50); do
+    alive=""
+    for pid in $WORKER_PIDS; do
+      gone "$pid" || alive="$alive $pid"
+    done
+    [ -z "$alive" ] && return 0
+    sleep 0.1
+  done
+  return 1
+}
+
+start_signal_cluster "$WORK/sigterm.log"
+kill -TERM "$CLUSTER_PID"
+wait "$CLUSTER_PID"
+CODE=$?
+CLUSTER_PID=""
+[ "$CODE" -eq 0 ] || fail "cluster exited $CODE after SIGTERM"
+workers_gone || fail "workers $WORKER_PIDS outlived a SIGTERMed cluster"
+WORKER_PIDS=""
+echo "cluster-smoke: SIGTERM stopped the cluster and its workers"
+
+start_signal_cluster "$WORK/sigkill.log"
+kill -KILL "$CLUSTER_PID"
+wait "$CLUSTER_PID" 2> /dev/null
+CLUSTER_PID=""
+workers_gone || fail "workers $WORKER_PIDS outlived a SIGKILLed cluster"
+WORKER_PIDS=""
+echo "cluster-smoke: no worker outlived a SIGKILLed launcher"
 
 rm -rf "$WORK"
 echo "cluster-smoke: all cluster checks passed"

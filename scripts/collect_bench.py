@@ -31,6 +31,8 @@ SUITE = [
     ("bench_table1_cases", ["--reps=1"]),
     ("bench_accuracy_radius", ["--pairs=2", "--length=64"]),
     ("bench_footnote_trillion", ["--reps=20", "--haystack=20000"]),
+    # Exits 1 if any cascade configuration changes a 1-NN prediction.
+    ("bench_ablation", ["--train=16", "--test=8", "--reps=2"]),
     ("bench_serve_throughput", ["--series=20", "--length=32", "--queries=64",
                                 "--clients=2", "--threads=2", "--repeats=1"]),
     # Names carry a trailing lanes arg (BM_Envelope/<n>/<lanes>), so

@@ -53,21 +53,6 @@ bool CheckAbandoningExact(std::span<const double> x,
   return true;
 }
 
-bool CheckPrunedExact(std::span<const double> x, std::span<const double> y,
-                      size_t band, CostKind cost, double upper_bound,
-                      double tolerance, std::string* error) {
-  WARP_CHECK(error != nullptr);
-  const double exact = CdtwDistance(x, y, band, cost);
-  const double pruned = PrunedCdtwDistance(x, y, band, cost, upper_bound);
-  if (!NearlyEqual(pruned, exact, tolerance)) {
-    return Explain(error,
-                   "PrunedDTW distance %.17g differs from the exact banded "
-                   "distance %.17g",
-                   pruned, exact);
-  }
-  return true;
-}
-
 bool CheckFastDtwAdmissible(std::span<const double> x,
                             std::span<const double> y, size_t radius,
                             CostKind cost, double tolerance,

@@ -1,9 +1,9 @@
 // Exactness oracles: the optimized never disagrees with the naive.
 //
-// Every acceleration in this library (early abandoning, PrunedDTW, the
-// lower-bound cascade inside the 1-NN classifier) is *exact*: it must
-// return bit-for-bit the decision — and numerically the distance — of the
-// naive computation it replaces. FastDTW is the deliberate exception: it
+// Every acceleration in this library (early abandoning, the lower-bound
+// cascade inside the 1-NN classifier) is *exact*: it must return
+// bit-for-bit the decision — and numerically the distance — of the naive
+// computation it replaces. FastDTW is the deliberate exception: it
 // is admissible-from-above (its path cost can only overshoot the true DTW
 // distance). These oracles machine-check both sides of that contract plus
 // the metric-style sanity identities (self-distance zero, symmetry).
@@ -32,12 +32,6 @@ bool CheckAbandoningExact(std::span<const double> x,
                           std::span<const double> y, size_t band,
                           double threshold, CostKind cost, double tolerance,
                           std::string* error);
-
-// PrunedCdtwDistance must equal CdtwDistance for any admissible upper
-// bound (pass a negative `upper_bound` for the default Euclidean bound).
-bool CheckPrunedExact(std::span<const double> x, std::span<const double> y,
-                      size_t band, CostKind cost, double upper_bound,
-                      double tolerance, std::string* error);
 
 // FastDTW's contract: its distance is >= the exact DTW distance, its path
 // is a valid warping path for (|x|, |y|), and the path's summed cost

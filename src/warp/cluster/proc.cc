@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -56,6 +57,15 @@ bool ChildProcess::Spawn(const std::vector<std::string>& argv,
              std::to_string(pid_) + ")";
     return false;
   }
+  // Built before fork: the child may make only async-signal-safe calls
+  // until exec, and building this array allocates.
+  std::vector<char*> args;
+  args.reserve(argv.size() + 1);
+  for (const std::string& arg : argv) {
+    args.push_back(const_cast<char*>(arg.c_str()));
+  }
+  args.push_back(nullptr);
+  const pid_t parent = getpid();
   int fds[2];
   if (pipe(fds) != 0) {
     *error = std::string("pipe: ") + std::strerror(errno);
@@ -69,17 +79,17 @@ bool ChildProcess::Spawn(const std::vector<std::string>& argv,
     return false;
   }
   if (pid == 0) {
-    // Child: stdout -> pipe write end, then exec. Only async-signal-safe
-    // calls between fork and exec.
+    // Child: only async-signal-safe calls between fork and exec. SIGTERM
+    // arrives when the forking thread exits, so a child outlives no
+    // launcher, however it dies; the supervisor forks only from threads
+    // that live until Stop(). A parent that died before the prctl is
+    // caught by the getppid check.
+    prctl(PR_SET_PDEATHSIG, static_cast<unsigned long>(SIGTERM));
+    if (getppid() != parent) _exit(1);
+    // stdout -> pipe write end, then exec.
     close(fds[0]);
     dup2(fds[1], STDOUT_FILENO);
     close(fds[1]);
-    std::vector<char*> args;
-    args.reserve(argv.size() + 1);
-    for (const std::string& arg : argv) {
-      args.push_back(const_cast<char*>(arg.c_str()));
-    }
-    args.push_back(nullptr);
     execvp(args[0], args.data());
     _exit(127);  // exec failed; the parent sees exit status 127.
   }
@@ -153,6 +163,15 @@ int ChildProcess::Reap() {
   pid_ = -1;
   CloseStdout();
   return raw;
+}
+
+void HandleTerminationSignals(void (*handler)(int)) {
+  struct sigaction action {};
+  action.sa_handler = handler != nullptr ? handler : SIG_DFL;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = SA_RESTART;
+  sigaction(SIGTERM, &action, nullptr);
+  sigaction(SIGINT, &action, nullptr);
 }
 
 bool SendSignal(long pid, int signum) {

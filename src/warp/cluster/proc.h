@@ -2,9 +2,10 @@
 //
 // The ONLY file in the repository allowed to issue raw process syscalls
 // (fork/exec, kill, waitpid — enforced by warp_lint's proc-containment
-// rule): the supervisor, tools, and tests go through ChildProcess /
-// SendSignal / SleepMillis so stdout piping, EINTR handling, and pid
-// bookkeeping live in one place.
+// rule) or to install signal handlers: the supervisor, tools, and tests go
+// through ChildProcess / SendSignal / HandleTerminationSignals /
+// SleepMillis so stdout piping, EINTR handling, and pid bookkeeping live
+// in one place.
 
 #ifndef WARP_CLUSTER_PROC_H_
 #define WARP_CLUSTER_PROC_H_
@@ -32,7 +33,9 @@ class ChildProcess {
   // fork()+execvp(): argv[0] is the binary (PATH-resolved), the rest its
   // arguments. The child's stdout is piped back to the parent. Returns
   // false and fills *error on failure; an exec failure surfaces as the
-  // child exiting 127.
+  // child exiting 127. The child is sent SIGTERM when the calling thread
+  // exits (PR_SET_PDEATHSIG), so call this from a thread that outlives
+  // the child.
   bool Spawn(const std::vector<std::string>& argv, std::string* error);
 
   // Valid between a successful Spawn and a successful reap.
@@ -65,6 +68,11 @@ class ChildProcess {
   int stdout_fd_ = -1;
   std::string pending_;  // Buffered but not-yet-consumed stdout bytes.
 };
+
+// Runs `handler` on SIGTERM and SIGINT; nullptr restores the default
+// action. The handler runs in signal context on any thread, so it may
+// only make async-signal-safe calls, such as a lock-free atomic store.
+void HandleTerminationSignals(void (*handler)(int));
 
 // kill(pid, signum) for processes not owned by a ChildProcess — fault
 // injection in tests and smoke scripts. Returns false when the signal

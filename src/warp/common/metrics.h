@@ -3,7 +3,7 @@
 // The paper's argument is about the work an algorithm actually performs
 // (cells computed, recursion overhead, pruning power), not just its
 // wall-clock time. This registry makes that work observable: each kernel
-// publishes named monotonic counters (DP cells, pruned cells, lower-bound
+// publishes named monotonic counters (DP cells, early abandons, lower-bound
 // invocations and kills, FastDTW cells per recursion, envelope builds,
 // thread-pool activity) that the bench harnesses snapshot around every
 // measurement and emit in their JSON reports.
@@ -56,8 +56,6 @@ namespace obs {
   X(kDtwCells, "dtw_cells")                               \
   X(kWorkspaceAllocs, "workspace_allocs")                 \
   X(kDtwEarlyAbandons, "dtw_early_abandons")              \
-  X(kPrunedDtwCells, "pruned_dtw_cells")                  \
-  X(kPrunedDtwCellsSkipped, "pruned_dtw_cells_skipped")   \
   X(kPathEngineCells, "path_engine_cells")                \
   X(kPathEngineBytes, "path_engine_bytes")                \
   /* FastDTW, optimized port (fastdtw.cc). */             \

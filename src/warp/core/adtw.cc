@@ -12,20 +12,15 @@ double AdtwDistance(std::span<const double> x, std::span<const double> y,
 
   // The engine's ADTW policy: same two-row layout as DTW (dp[j+1] =
   // D(i, j)), with the amercement added on the two non-diagonal
-  // predecessors. Unconstrained, so every row spans all columns — which
-  // is exactly the geometry the SIMD wavefront handles; results are
-  // bitwise identical either way (docs/SIMD.md).
+  // predecessors. Unconstrained, so the band is max(n, m) and every row
+  // spans all columns — which is exactly the geometry the SIMD wavefront
+  // handles; results are bitwise identical either way (docs/SIMD.md).
   return WithCost(cost, [&](auto c) {
-    dp::AdtwPolicy<dp::SeriesCellCost<decltype(c)>> policy{
-        {x.data(), y.data(), c}, omega};
-    double wave_result;
-    if (dp::TryWavefront(x.size(), y.size(), std::max(x.size(), y.size()),
-                         policy, workspace, {}, &wave_result)) {
-      return wave_result;
-    }
-    return dp::TwoRowEngine(x.size(), y.size(),
-                            dp::FullRowRange{y.size() - 1}, policy, dp::kInf,
-                            workspace);
+    return dp::BandedTwoRowEngine(
+        x.size(), y.size(), std::max(x.size(), y.size()),
+        dp::AdtwPolicy<dp::SeriesCellCost<decltype(c)>>{
+            {x.data(), y.data(), c}, omega},
+        dp::kInf, workspace);
   });
 }
 

@@ -1,25 +1,24 @@
 // The one banded two-row DP engine behind every elastic measure.
 //
-// Each elastic kernel in this library — full/banded/abandoning/pruned DTW,
-// WDTW, ADTW, DDTW, LCSS, ERP, MSM, and both FastDTW base cases — is the
-// same machine-sympathetic inner loop wearing a different local-cost
+// Each elastic kernel in this library — full/banded/abandoning DTW, WDTW,
+// ADTW, DDTW, LCSS, ERP, MSM, and both FastDTW base cases — is the same
+// machine-sympathetic inner loop wearing a different local-cost
 // recurrence. This header factors that loop out once and expresses every
 // kernel as a policy bundle over it:
 //
-//   * RowRange   — which columns row i visits (full, Sakoe–Chiba band,
-//                  square band, arbitrary WarpingWindow).
+//   * RowRange   — which columns row i visits (Sakoe–Chiba band, square
+//                  band, arbitrary WarpingWindow).
 //   * Policy     — the recurrence itself: top-row boundary, per-row left
 //                  boundary, the cell combination, and the final readout.
-//   * Pruner     — optional PrunedDTW column pruning (dp::BandPruner) or
-//                  none (dp::NoPruner).
 //   * kAbandoning — compile-time early-abandon row-minimum hook.
 //
 // The engine owns the correctness-critical details the hand-rolled copies
 // used to each maintain separately: the +1 column offset (index j+1 holds
-// D(i, j); index 0 is the virtual D(i, -1)), the carried left/diag
-// scalars that keep the serial dependency in registers, and the
-// stale-row-tail reset when the explored range narrows between rows
-// (tests/core/dp_engine_test.cc pins that reset).
+// D(i, j); index 0 is the virtual D(i, -1)) and the carried left/diag
+// scalars that keep the serial dependency in registers. Every measure
+// enters through dp::BandedTwoRowEngine (an unconstrained measure passes
+// band max(n, m)); only WindowedDtwDistance calls dp::TwoRowEngine with
+// an arbitrary window.
 //
 // Scratch rows live in a DtwWorkspace. Reusing one across calls makes the
 // steady state allocation-free; every (re)allocation bumps the
@@ -109,9 +108,9 @@ namespace dp {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Sentinel for "do not publish this count to the obs registry". Kernels
-// with their own counters (DTW, PrunedDTW) pass real counter ids; the
-// measures that never counted (WDTW, ADTW, LCSS, ERP, MSM) pass this.
+// Sentinel for "do not publish this count to the obs registry". The DTW
+// family passes real counter ids; the measures that never counted (WDTW,
+// ADTW, LCSS, ERP, MSM) pass this.
 inline constexpr obs::Counter kNoCounter = obs::Counter::kNumCounters;
 
 inline void CountMaybe(obs::Counter counter, uint64_t amount) {
@@ -119,28 +118,19 @@ inline void CountMaybe(obs::Counter counter, uint64_t amount) {
 }
 
 // Where the engine publishes its work. `cells` is added on every exit
-// path (success, abandon, prune failure); `abandons` on an early abandon;
-// `skipped` holds the pruner's untouched band cells. `cells_out` is an
-// optional per-call sink independent of the registry.
+// path (success or abandon); `abandons` on an early abandon. `cells_out`
+// is an optional per-call sink independent of the registry.
 struct EngineCounters {
   obs::Counter cells = kNoCounter;
   obs::Counter abandons = kNoCounter;
-  obs::Counter skipped = kNoCounter;
   uint64_t* cells_out = nullptr;
 };
 
 // ---------------------------------------------------------------------------
 // Row ranges. Each yields the inclusive column range of row i and must
 // satisfy the WarpingWindow invariants (monotone ranges, reachable,
-// corners included).
-
-// Every row visits every column.
-struct FullRowRange {
-  size_t last_col;
-  std::pair<uint32_t, uint32_t> operator()(size_t) const {
-    return {0, static_cast<uint32_t>(last_col)};
-  }
-};
+// corners included); the engine's buffer reuse relies on the monotone
+// ranges (see TwoRowEngineImpl).
 
 // Equal-length Sakoe–Chiba band: pure integer clamping, no rounding. The
 // all-pairs experiments hit this path, so it matters that it is
@@ -369,62 +359,6 @@ struct MsmPolicy {
 };
 
 // ---------------------------------------------------------------------------
-// Pruners.
-
-struct NoPruner {
-  static constexpr bool kEnabled = false;
-};
-
-// PrunedDTW (Silva & Batista, SDM 2016) column pruning against an
-// admissible upper bound: cells provably not on any path cheaper than
-// `ub` are skipped. sc is the first column of the previous row whose
-// value stayed <= ub (no cheaper-than-ub path enters this row left of
-// it); `limit` is one past the previous row's last under-bound column —
-// beyond it cells are reachable only through a live horizontal chain.
-struct BandPruner {
-  static constexpr bool kEnabled = true;
-
-  double ub;
-  size_t sc = 0;
-  size_t prev_last_under;  // Row -1 imposes no limit on row 0.
-  size_t limit = 0;
-  bool found = false;
-  size_t first_under = 0;
-  size_t last_under = 0;
-
-  BandPruner(double upper_bound, size_t m)
-      : ub(upper_bound), prev_last_under(m) {}
-
-  size_t RowBegin(size_t i, size_t band_lo, size_t band_hi) {
-    limit = i == 0 ? band_hi : std::min(band_hi, prev_last_under + 1);
-    found = false;
-    return std::max(band_lo, sc);
-  }
-  bool ShouldStop(size_t j, double left) const {
-    return j > limit && left > ub;  // Nothing can reach further.
-  }
-  void Observe(size_t j, double value) {
-    if (value <= ub) {
-      if (!found) {
-        first_under = j;
-        found = true;
-      }
-      last_under = j;
-    }
-  }
-  // False when no cell of the row stayed under the bound — cannot happen
-  // when ub really upper-bounds the optimum (the optimal path crosses
-  // every row with prefix <= ub); defends against a caller-supplied bound
-  // that was too tight.
-  bool RowFinished() {
-    if (!found) return false;
-    sc = first_under;
-    prev_last_under = last_under;
-    return true;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // SIMD wavefront eligibility.
 //
 // A policy is wavefront-eligible when its recurrence vectorizes across an
@@ -481,91 +415,81 @@ struct WaveSpec<ErpPolicy> {
   static const double* Y(const ErpPolicy& p) { return p.y; }
 };
 
-// Runs the wavefront sweep instead of the row engine when the policy,
-// geometry, and runtime dispatch all allow it. Returns true (result in
-// *result) on success; false means "use the row engine" and touches
-// nothing. Geometry: a square Sakoe–Chiba band (n == m, any band), or
-// unequal lengths with a band wide enough that every row is full
-// (BandRowRange degenerates to FullRowRange exactly when band >= m - 1).
-// Early abandoning is row-structured (a row minimum is not a diagonal
-// minimum), so abandoning calls never come here; pruning likewise.
+// Runs the wavefront sweep instead of the row engine when the geometry
+// and runtime dispatch allow it; the caller checks that the policy is
+// eligible. Returns true (result in *result) on success; false means "use
+// the row engine" and touches nothing. Geometry: a square Sakoe–Chiba
+// band (n == m, any band), or unequal lengths with a band wide enough
+// that every row is full (BandRowRange spans every column exactly when
+// band >= m - 1). Early abandoning is row-structured (a row minimum is
+// not a diagonal minimum), so abandoning calls never come here.
 template <typename Policy>
 bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
                   DtwWorkspace* workspace, const EngineCounters& counters,
                   double* result) {
-  if constexpr (!WaveSpec<Policy>::kEligible) {
-    (void)n;
-    (void)m;
-    (void)band;
-    (void)policy;
-    (void)workspace;
-    (void)counters;
-    (void)result;
-    return false;
+  using Spec = WaveSpec<Policy>;
+  static_assert(Spec::kEligible);
+  if (n == 0 || m == 0) return false;
+  size_t width;
+  int64_t wave_band;
+  if (n == m) {
+    width = band < n ? std::min(2 * band + 1, n) : n;
+    wave_band = static_cast<int64_t>(std::min(band, 2 * (n + m)));
   } else {
-    using Spec = WaveSpec<Policy>;
-    if (n == 0 || m == 0) return false;
-    size_t width;
-    int64_t wave_band;
-    if (n == m) {
-      width = band < n ? std::min(2 * band + 1, n) : n;
-      wave_band = static_cast<int64_t>(std::min(band, 2 * (n + m)));
-    } else {
-      if (band < m - 1) return false;
-      width = std::min(n, m);
-      wave_band = static_cast<int64_t>(2 * (n + m));
-    }
-    if (!simd::WavefrontEligible(width)) return false;
-
-    DtwWorkspace local;
-    DtwWorkspace* ws = workspace != nullptr ? workspace : &local;
-    ws->PrepareWave(n, m, Spec::kErp);
-    const double* x = Spec::X(policy);
-    const double* y = Spec::Y(policy);
-    double* xp = ws->wave_x.data();
-    double* yr = ws->wave_y_rev.data();
-    for (size_t i = 0; i < n; ++i) xp[i] = x[i];
-    for (size_t k = 0; k < m; ++k) yr[k] = y[m - 1 - k];
-    double* b0 = ws->wave_diag[0].data() + 1;
-    double* b1 = ws->wave_diag[1].data() + 1;
-    double* b2 = ws->wave_diag[2].data() + 1;
-
-    simd::WaveStats stats;
-    double value;
-    if constexpr (Spec::kErp) {
-      // Gap prefixes in exactly ErpPolicy's sequential accumulation
-      // order (InitTopRow / LeftBoundary), so the injected boundary
-      // values are bitwise the row engine's.
-      double* top = ws->wave_top.data();
-      double* lft = ws->wave_left.data();
-      double acc = 0.0;
-      for (size_t j = 0; j < m; ++j) {
-        acc += std::fabs(y[j] - policy.gap);
-        top[j] = acc;
-      }
-      acc = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        acc += std::fabs(x[i] - policy.gap);
-        lft[i] = acc;
-      }
-      value = simd::WaveErp(xp, static_cast<int64_t>(n), yr,
-                            static_cast<int64_t>(m), policy.gap, top, lft, b0,
-                            b1, b2, &stats);
-    } else {
-      value = simd::WaveMinPlus<typename Spec::CostFn, Spec::kAmerced>(
-          xp, static_cast<int64_t>(n), yr, static_cast<int64_t>(m), wave_band,
-          Spec::Omega(policy), b0, b1, b2, &stats);
-    }
-
-    // The wavefront visits exactly the row engine's band cells (the same
-    // set, enumerated by diagonals instead of rows).
-    if (counters.cells_out != nullptr) *counters.cells_out = stats.cells;
-    CountMaybe(counters.cells, stats.cells);
-    WARP_COUNT_ADD(obs::Counter::kSimdBlocks, stats.blocks);
-    WARP_COUNT_ADD(obs::Counter::kSimdScalarTail, stats.tail);
-    *result = value;
-    return true;
+    if (band < m - 1) return false;
+    width = std::min(n, m);
+    wave_band = static_cast<int64_t>(2 * (n + m));
   }
+  if (!simd::WavefrontEligible(width)) return false;
+
+  DtwWorkspace local;
+  DtwWorkspace* ws = workspace != nullptr ? workspace : &local;
+  ws->PrepareWave(n, m, Spec::kErp);
+  const double* x = Spec::X(policy);
+  const double* y = Spec::Y(policy);
+  double* xp = ws->wave_x.data();
+  double* yr = ws->wave_y_rev.data();
+  for (size_t i = 0; i < n; ++i) xp[i] = x[i];
+  for (size_t k = 0; k < m; ++k) yr[k] = y[m - 1 - k];
+  double* b0 = ws->wave_diag[0].data() + 1;
+  double* b1 = ws->wave_diag[1].data() + 1;
+  double* b2 = ws->wave_diag[2].data() + 1;
+
+  simd::WaveStats stats;
+  double value;
+  if constexpr (Spec::kErp) {
+    // Gap prefixes in exactly ErpPolicy's sequential accumulation
+    // order (InitTopRow / LeftBoundary), so the injected boundary
+    // values are bitwise the row engine's.
+    double* top = ws->wave_top.data();
+    double* lft = ws->wave_left.data();
+    double acc = 0.0;
+    for (size_t j = 0; j < m; ++j) {
+      acc += std::fabs(y[j] - policy.gap);
+      top[j] = acc;
+    }
+    acc = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      acc += std::fabs(x[i] - policy.gap);
+      lft[i] = acc;
+    }
+    value = simd::WaveErp(xp, static_cast<int64_t>(n), yr,
+                          static_cast<int64_t>(m), policy.gap, top, lft, b0,
+                          b1, b2, &stats);
+  } else {
+    value = simd::WaveMinPlus<typename Spec::CostFn, Spec::kAmerced>(
+        xp, static_cast<int64_t>(n), yr, static_cast<int64_t>(m), wave_band,
+        Spec::Omega(policy), b0, b1, b2, &stats);
+  }
+
+  // The wavefront visits exactly the row engine's band cells (the same
+  // set, enumerated by diagonals instead of rows).
+  if (counters.cells_out != nullptr) *counters.cells_out = stats.cells;
+  CountMaybe(counters.cells, stats.cells);
+  WARP_COUNT_ADD(obs::Counter::kSimdBlocks, stats.blocks);
+  WARP_COUNT_ADD(obs::Counter::kSimdScalarTail, stats.tail);
+  *result = value;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -576,17 +500,16 @@ bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
 // holds D(i, j); index 0 holds the virtual D(i, -1), and the virtual row
 // -1 is written by the policy's InitTopRow.
 //
-// Stale-cell management: explored ranges only move right (between rows
-// and, under pruning, within the skipped prefix), so on entry to row i
-// the only prev-row indices the row can read that were not freshly
-// written are those above the previous row's explored hi + 1; they are
-// re-set to inf first. The engine owns this reset — the hand-rolled
-// kernels used to each maintain their own copy, and wdtw.cc's was the
-// template for the regression test that now pins it.
-template <bool kAbandoning, typename RowRangeFn, typename Policy,
-          typename Pruner>
+// Buffer reuse needs no per-row reset. PrepareRows refills both rows with
+// +inf on every call, and row ranges are monotone: lo(i) and hi(i) never
+// decrease (SquareBandRowRange, BandRowRange, and WindowRowRange over a
+// canonical WarpingWindow). Row i reads prev[lo(i) .. hi(i)+1]. Row i-1
+// wrote prev[lo(i-1) .. hi(i-1)+1], and no earlier row of this call wrote
+// past hi(i-1)+1, so every slot row i reads is either row i-1's or still
+// +inf. tests/core/dp_engine_test.cc pins this with a poisoned workspace.
+template <bool kAbandoning, typename RowRangeFn, typename Policy>
 double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
-                        Policy& policy, Pruner& pruner, double abandon_above,
+                        Policy& policy, double abandon_above,
                         DtwWorkspace* workspace,
                         const EngineCounters& counters) {
   WARP_CHECK(n > 0 && m > 0);
@@ -597,23 +520,17 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
   double* cur = ws->cur.data();
   policy.InitTopRow(prev, m);
 
-  size_t prev_hi = m;  // prev[] is fully initialized before row 0.
   uint64_t visited = 0;
-  uint64_t skipped = 0;  // Band cells pruning never touched.
   const auto report = [&] {
     if (counters.cells_out != nullptr) *counters.cells_out = visited;
     CountMaybe(counters.cells, visited);
-    if constexpr (Pruner::kEnabled) CountMaybe(counters.skipped, skipped);
   };
 
   for (size_t i = 0; i < n; ++i) {
     const auto [lo32, hi32] = row_range(i);
-    const size_t band_lo = lo32;
+    const size_t lo = lo32;
     const size_t hi = hi32;
-    WARP_DCHECK(band_lo <= hi && hi < m);
-    for (size_t k = prev_hi + 2; k <= hi + 1; ++k) prev[k] = kInf;
-    size_t lo = band_lo;
-    if constexpr (Pruner::kEnabled) lo = pruner.RowBegin(i, band_lo, hi);
+    WARP_DCHECK(lo <= hi && hi < m);
     // Virtual D(i, lo-1): the policy's left boundary when the row starts
     // at column 0 (row i+1 may read this slot as its diagonal
     // predecessor), unreachable otherwise.
@@ -628,29 +545,17 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
     double left = boundary;
     double diag = prev_row[lo];
     double row_min = kInf;
-    size_t j = lo;
-    for (; j <= hi; ++j) {
-      if constexpr (Pruner::kEnabled) {
-        if (pruner.ShouldStop(j, left)) break;
-      }
+    for (size_t j = lo; j <= hi; ++j) {
       const double up = prev_row[j + 1];  // D(i-1, j)
       const double value = policy.Cell(i, j, diag, up, left);
       cur_row[j + 1] = value;
       left = value;
       diag = up;
-      if constexpr (Pruner::kEnabled) pruner.Observe(j, value);
       if constexpr (kAbandoning) {
         if (value < row_min) row_min = value;
       }
     }
-    visited += j - lo;
-    if constexpr (Pruner::kEnabled) {
-      skipped += (hi - band_lo + 1) - (j - lo);
-      if (!pruner.RowFinished()) {
-        report();
-        return kInf;
-      }
-    }
+    visited += hi - lo + 1;
     if constexpr (kAbandoning) {
       if (row_min > abandon_above) {
         report();
@@ -659,15 +564,6 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
       }
     }
     std::swap(prev, cur);
-    prev_hi = j > lo ? j - 1 : lo;
-  }
-  if constexpr (Pruner::kEnabled) {
-    // A pruned final row that never reached the corner cannot answer;
-    // mirrors the defensive RowFinished return above.
-    if (prev_hi < m - 1) {
-      report();
-      return kInf;
-    }
   }
   report();
   return policy.Finish(prev, m);
@@ -675,21 +571,22 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
 
 // Dispatches the abandon hook at compile time so the common
 // non-abandoning path carries no per-cell branch.
-template <typename RowRangeFn, typename Policy, typename Pruner = NoPruner>
+template <typename RowRangeFn, typename Policy>
 double TwoRowEngine(size_t n, size_t m, RowRangeFn&& row_range, Policy policy,
-                    double abandon_above = kInf,
-                    DtwWorkspace* workspace = nullptr,
-                    const EngineCounters& counters = {},
-                    Pruner pruner = {}) {
+                    double abandon_above, DtwWorkspace* workspace,
+                    const EngineCounters& counters) {
   if (abandon_above == kInf) {
-    return TwoRowEngineImpl<false>(n, m, row_range, policy, pruner,
-                                   abandon_above, workspace, counters);
+    return TwoRowEngineImpl<false>(n, m, row_range, policy, abandon_above,
+                                   workspace, counters);
   }
-  return TwoRowEngineImpl<true>(n, m, row_range, policy, pruner,
-                                abandon_above, workspace, counters);
+  return TwoRowEngineImpl<true>(n, m, row_range, policy, abandon_above,
+                                workspace, counters);
 }
 
-// Routes to the integer fast path when the band is square (n == m); the
+// The one dispatch every elastic distance enters by; an unconstrained
+// measure passes band max(n, m), whose rows span every column. A call
+// that cannot abandon tries the SIMD wavefront first. The row engine then
+// takes the integer fast path when the band is square (n == m); the
 // generalized scaled-diagonal range produces identical ranges there, just
 // with more arithmetic per row.
 template <typename Policy>
@@ -697,9 +594,10 @@ double BandedTwoRowEngine(size_t n, size_t m, size_t band, Policy policy,
                           double abandon_above = kInf,
                           DtwWorkspace* workspace = nullptr,
                           const EngineCounters& counters = {}) {
-  if (abandon_above == kInf) {
+  if constexpr (WaveSpec<Policy>::kEligible) {
     double wave_result;
-    if (TryWavefront(n, m, band, policy, workspace, counters, &wave_result)) {
+    if (abandon_above == kInf &&
+        TryWavefront(n, m, band, policy, workspace, counters, &wave_result)) {
       return wave_result;
     }
   }

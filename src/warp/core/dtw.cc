@@ -16,9 +16,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Every DTW-family kernel below is a thin instantiation of the shared
 // engine in dp_engine.h: a MinPlus recurrence over a row range, with the
-// abandon hook and the PrunedDTW pruner composed in as policies. The
-// engine publishes this family's work through the kDtwCells /
-// kDtwEarlyAbandons / kPrunedDtw* counters.
+// abandon hook composed in. The engine publishes this family's work
+// through the kDtwCells / kDtwEarlyAbandons counters.
 
 dp::EngineCounters DtwCounters(uint64_t* cells) {
   dp::EngineCounters counters;
@@ -44,14 +43,9 @@ double BandedDistance(size_t n, size_t m, size_t band, CellCostFn&& cell_cost,
 
 double DtwDistance(std::span<const double> x, std::span<const double> y,
                    CostKind cost, uint64_t* cells, DtwWorkspace* workspace) {
-  WARP_CHECK(!x.empty() && !y.empty());
-  const size_t band = std::max(x.size(), y.size());
-  return WithCost(cost, [&](auto c) {
-    return BandedDistance(
-        x.size(), y.size(), band,
-        dp::SeriesCellCost<decltype(c)>{x.data(), y.data(), c}, kInf,
-        workspace, cells);
-  });
+  // A band of max(n, m) spans every column.
+  return CdtwDistance(x, y, std::max(x.size(), y.size()), cost, workspace,
+                      cells);
 }
 
 DtwResult Dtw(std::span<const double> x, std::span<const double> y,
@@ -94,35 +88,6 @@ double CdtwDistanceAbandoning(std::span<const double> x,
         x.size(), y.size(), band,
         dp::SeriesCellCost<decltype(c)>{x.data(), y.data(), c}, abandon_above,
         buffer, nullptr);
-  });
-}
-
-double PrunedCdtwDistance(std::span<const double> x,
-                          std::span<const double> y, size_t band,
-                          CostKind cost, double upper_bound,
-                          DtwWorkspace* buffer, uint64_t* cells) {
-  WARP_CHECK(!x.empty());
-  WARP_CHECK_MSG(x.size() == y.size(),
-                 "PrunedDTW requires equal lengths (the Euclidean upper "
-                 "bound rides the diagonal)");
-  const size_t n = x.size();
-  double ub =
-      upper_bound >= 0.0 ? upper_bound : EuclideanDistance(x, y, cost);
-  // Tiny inflation so floating-point drift between the bound's summation
-  // order and the DP's cannot prune a cell of the optimal path. Larger ub
-  // only weakens pruning, never correctness.
-  ub += 1e-9 * (std::fabs(ub) + 1.0);
-
-  dp::EngineCounters counters;
-  counters.cells = obs::Counter::kPrunedDtwCells;
-  counters.skipped = obs::Counter::kPrunedDtwCellsSkipped;
-  counters.cells_out = cells;
-  return WithCost(cost, [&](auto c) {
-    return dp::TwoRowEngine(
-        n, n, dp::SquareBandRowRange{band, n - 1},
-        dp::MinPlusPolicy<dp::SeriesCellCost<decltype(c)>>{
-            {x.data(), y.data(), c}},
-        kInf, buffer, counters, dp::BandPruner(ub, n));
   });
 }
 
@@ -205,35 +170,13 @@ double EuclideanDistance(std::span<const double> x, std::span<const double> y,
   });
 }
 
-double EuclideanDistanceAbandoning(std::span<const double> x,
-                                   std::span<const double> y,
-                                   double abandon_above, CostKind cost) {
-  WARP_CHECK_MSG(x.size() == y.size(),
-                 "Euclidean distance requires equal lengths");
-  WARP_CHECK(!x.empty());
-  return WithCost(cost, [&](auto c) {
-    double sum = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) {
-      sum += c(x[i], y[i]);
-      if (sum > abandon_above) return kInf;
-    }
-    return sum;
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Multichannel DTW.
 
 double MultiDtwDistance(const MultiSeries& x, const MultiSeries& y,
                         CostKind cost, uint64_t* cells) {
-  WARP_CHECK(!x.empty() && !y.empty());
-  WARP_CHECK(x.num_channels() == y.num_channels());
-  const size_t band = std::max(x.length(), y.length());
-  return WithCost(cost, [&](auto c) {
-    return BandedDistance(x.length(), y.length(), band,
-                          dp::MultiCellCost<decltype(c)>{&x, &y, c}, kInf,
-                          nullptr, cells);
-  });
+  return MultiCdtwDistance(x, y, std::max(x.length(), y.length()), cost,
+                           nullptr, cells);
 }
 
 double MultiCdtwDistance(const MultiSeries& x, const MultiSeries& y,

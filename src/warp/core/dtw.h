@@ -85,20 +85,6 @@ double CdtwDistanceAbandoning(std::span<const double> x,
 DtwResult Cdtw(std::span<const double> x, std::span<const double> y,
                size_t band, CostKind cost = CostKind::kSquared);
 
-// PrunedDTW (Silva & Batista, SDM 2016): exact banded DTW that skips DP
-// cells provably not on any path cheaper than an upper bound. The bound
-// defaults to the Euclidean distance (the diagonal path, always
-// admissible in a Sakoe–Chiba window on equal lengths); a tighter caller-
-// supplied `upper_bound` (e.g. a best-so-far) prunes more. Result is
-// always identical to CdtwDistance; only `cells` shrinks. Requires equal
-// lengths.
-double PrunedCdtwDistance(std::span<const double> x,
-                          std::span<const double> y, size_t band,
-                          CostKind cost = CostKind::kSquared,
-                          double upper_bound = -1.0,
-                          DtwBuffer* buffer = nullptr,
-                          uint64_t* cells = nullptr);
-
 // ---------------------------------------------------------------------------
 // Arbitrary-window DTW. The window must be valid (see WarpingWindow) and
 // shaped (x.size(), y.size()).
@@ -131,19 +117,14 @@ double NormalizedDtwDistance(std::span<const double> x,
                              CostKind cost = CostKind::kSquared);
 
 // ---------------------------------------------------------------------------
-// Euclidean distance (= cDTW_0), provided for convenience and used as the
-// first rung of the lower-bound cascade. Lengths must match.
+// Euclidean distance (= cDTW_0): the registry's `ed` and ADTW's omega
+// suggestion. Lengths must match. For an early-abandoning Euclidean
+// distance call CdtwDistanceAbandoning at band 0: on equal lengths it adds
+// the same costs in the same order and abandons on the same partial sum.
 
 double EuclideanDistance(std::span<const double> x,
                          std::span<const double> y,
                          CostKind cost = CostKind::kSquared);
-
-// Early-abandoning Euclidean distance: returns +infinity once the running
-// sum exceeds `abandon_above`.
-double EuclideanDistanceAbandoning(std::span<const double> x,
-                                   std::span<const double> y,
-                                   double abandon_above,
-                                   CostKind cost = CostKind::kSquared);
 
 // ---------------------------------------------------------------------------
 // Multichannel (dependent) DTW: the local cost of aligning frames i and j

@@ -14,9 +14,9 @@ size_t LcssLength(std::span<const double> x, std::span<const double> y,
   // small non-negative integers, exact in double). Cells outside the band
   // stay at the running maximum of their row prefix (standard banded-LCSS
   // semantics: matches are only allowed inside the band, carries are
-  // free), so the policy gates the band instead of the row range.
-  const double length = dp::TwoRowEngine(
-      x.size(), y.size(), dp::FullRowRange{y.size() - 1},
+  // free), so the policy gates the band and the rows span every column.
+  const double length = dp::BandedTwoRowEngine(
+      x.size(), y.size(), std::max(x.size(), y.size()),
       dp::LcssPolicy{x.data(), y.data(), epsilon, band}, dp::kInf, workspace);
   return static_cast<size_t>(length);
 }
@@ -36,22 +36,17 @@ double ErpDistance(std::span<const double> x, std::span<const double> y,
   // prefix of |y[0..j] - g|; interior is the three-way edit recurrence on
   // L1 costs. The SIMD wavefront injects the same prefixes through its
   // boundary sentinels, so both paths agree bitwise (docs/SIMD.md).
-  dp::ErpPolicy policy{x.data(), y.data(), gap_value};
-  double wave_result;
-  if (dp::TryWavefront(x.size(), y.size(), std::max(x.size(), y.size()),
-                       policy, workspace, {}, &wave_result)) {
-    return wave_result;
-  }
-  return dp::TwoRowEngine(x.size(), y.size(), dp::FullRowRange{y.size() - 1},
-                          policy, dp::kInf, workspace);
+  return dp::BandedTwoRowEngine(
+      x.size(), y.size(), std::max(x.size(), y.size()),
+      dp::ErpPolicy{x.data(), y.data(), gap_value}, dp::kInf, workspace);
 }
 
 double MsmDistance(std::span<const double> x, std::span<const double> y,
                    double split_merge_cost, DtwWorkspace* workspace) {
   WARP_CHECK(!x.empty() && !y.empty());
   WARP_CHECK(split_merge_cost >= 0.0);
-  return dp::TwoRowEngine(
-      x.size(), y.size(), dp::FullRowRange{y.size() - 1},
+  return dp::BandedTwoRowEngine(
+      x.size(), y.size(), std::max(x.size(), y.size()),
       dp::MsmPolicy{x.data(), y.data(), split_merge_cost}, dp::kInf,
       workspace);
 }

@@ -14,16 +14,14 @@
 
 namespace warp {
 
-namespace {
-
-// Per-pair band resolution: an explicit cell count wins, otherwise the
-// same llround-of-fraction rule as CdtwDistanceFraction.
 size_t ResolveBand(const MeasureParams& p, size_t n, size_t m) {
   if (p.band_cells >= 0) return static_cast<size_t>(p.band_cells);
   const size_t longest = std::max(n, m);
   return static_cast<size_t>(
       std::llround(p.window_fraction * static_cast<double>(longest)));
 }
+
+namespace {
 
 // Scratch rows shared by all closures on a given thread; reused across
 // calls so steady-state distance evaluation never touches the heap.

@@ -51,6 +51,12 @@ struct MeasureParams {
   CostKind cost = CostKind::kSquared;
 };
 
+// The Sakoe–Chiba half-width `params` gives a pair of lengths n and m:
+// band_cells when it is set, otherwise the same llround-of-fraction rule
+// as CdtwDistanceFraction. Every banded closure and the serve cascade use
+// this one rule.
+size_t ResolveBand(const MeasureParams& params, size_t n, size_t m);
+
 struct MeasureInfo {
   std::string name;     // Registry key, e.g. "cdtw".
   std::string summary;  // One-line description for --help output.

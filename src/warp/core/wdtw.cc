@@ -43,10 +43,9 @@ double WdtwDistance(std::span<const double> x, std::span<const double> y,
       }
     };
     const WeightedCost cell{x.data(), y.data(), weights.data(), c};
-    return dp::TwoRowEngine(x.size(), y.size(),
-                            dp::SquareBandRowRange{band, y.size() - 1},
-                            dp::MinPlusPolicy<WeightedCost>{cell}, dp::kInf,
-                            workspace);
+    return dp::BandedTwoRowEngine(x.size(), y.size(), band,
+                                  dp::MinPlusPolicy<WeightedCost>{cell},
+                                  dp::kInf, workspace);
   });
 }
 

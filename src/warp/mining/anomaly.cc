@@ -50,11 +50,8 @@ Discord FindTopDiscord(std::span<const double> series, size_t m, size_t band,
       if (stats != nullptr) ++stats->distance_calls;
       // Early-abandon at the candidate's current NN bound: any tighter
       // neighbor only lowers nn further.
-      const double d = band == 0
-                           ? EuclideanDistanceAbandoning(windows[a],
-                                                         windows[b], nn, cost)
-                           : CdtwDistanceAbandoning(windows[a], windows[b],
-                                                    band, nn, cost, &buffer);
+      const double d = CdtwDistanceAbandoning(windows[a], windows[b], band,
+                                              nn, cost, &buffer);
       if (d < nn) {
         nn = d;
         nn_index = b;
@@ -104,11 +101,8 @@ Motif FindTopMotif(std::span<const double> series, size_t m, size_t band,
       if (positions[b] - positions[a] < m) continue;  // Overlap exclusion.
       if (stats != nullptr) ++stats->distance_calls;
       // Early-abandon above the best pair found so far.
-      const double d =
-          band == 0 ? EuclideanDistanceAbandoning(windows[a], windows[b],
-                                                  best.distance, cost)
-                    : CdtwDistanceAbandoning(windows[a], windows[b], band,
-                                             best.distance, cost, &buffer);
+      const double d = CdtwDistanceAbandoning(windows[a], windows[b], band,
+                                              best.distance, cost, &buffer);
       if (d < best.distance) {
         best.distance = d;
         best.position_a = positions[a];

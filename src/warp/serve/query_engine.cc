@@ -13,6 +13,7 @@
 #include "warp/common/stopwatch.h"
 #include "warp/core/cascade.h"
 #include "warp/core/dtw.h"
+#include "warp/core/measure.h"
 #include "warp/mining/similarity_search.h"
 #include "warp/common/metrics.h"
 #include "warp/obs/histogram.h"
@@ -297,18 +298,6 @@ struct QueryEngine::Impl {
     return true;
   }
 
-  // The Sakoe–Chiba half-width this request resolves to against a series
-  // of length `other`, mirroring the measure registry's rule.
-  static size_t ResolveBand(const ServeRequest& request, size_t other) {
-    if (request.params.band_cells >= 0) {
-      return static_cast<size_t>(request.params.band_cells);
-    }
-    const size_t longer = std::max(request.query.size(), other);
-    const long band = std::lround(request.params.window_fraction *
-                                  static_cast<double>(longer));
-    return band < 0 ? 0 : static_cast<size_t>(band);
-  }
-
   std::unique_ptr<Plan> MakePlan(
       const ServeRequest& request,
       std::shared_ptr<const StoredDataset> snapshot) {
@@ -326,7 +315,8 @@ struct QueryEngine::Impl {
     // everything else scans brute-force through the registry closure.
     if (request.measure == "cdtw" && stored.uniform_length > 0 &&
         plan->query.size() == stored.uniform_length) {
-      const size_t band = ResolveBand(request, stored.uniform_length);
+      const size_t band = ResolveBand(request.params, plan->query.size(),
+                                      stored.uniform_length);
       plan->cascade.emplace(plan->query, band, request.params.cost);
       plan->band_slot = stored.BandSlot(band);
     } else {
@@ -389,10 +379,10 @@ struct QueryEngine::Impl {
                                      std::to_string(request.index));
         return;
       }
-      const SubsequenceMatch match =
-          FindBestMatch(target.view(), plan.query,
-                        ResolveBand(request, plan.query.size()),
-                        request.params.cost, nullptr);
+      const SubsequenceMatch match = FindBestMatch(
+          target.view(), plan.query,
+          ResolveBand(request.params, plan.query.size(), plan.query.size()),
+          request.params.cost, nullptr);
       response.scanned = response.total =
           target.size() - plan.query.size() + 1;
       response.position = match.position;

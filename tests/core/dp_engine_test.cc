@@ -1,5 +1,5 @@
-// Engine-level regression tests for warp/core/dp_engine.h: the stale
-// row-tail reset contract and the workspace_allocs steady-state
+// Engine-level regression tests for warp/core/dp_engine.h: buffer reuse
+// across calls on one workspace and the workspace_allocs steady-state
 // guarantee.
 
 #include "warp/core/dp_engine.h"
@@ -19,51 +19,18 @@ namespace warp {
 namespace {
 
 // --------------------------------------------------------------------------
-// Stale row-tail reset.
+// Buffer reuse.
 //
-// The two-row engine reuses its scratch rows across rows and across calls,
-// so any cell the previous row did NOT explore still holds a finite value
-// from two rows back (or from an earlier call on the same workspace). The
-// engine owns resetting that tail to +inf before each row; every kernel
-// that narrows or re-widens its explored range per row depends on it.
+// The two-row engine reuses its scratch rows across rows and across calls.
+// It resets nothing per row: PrepareRows refills both rows with +inf on
+// every call, and row ranges are monotone, so every cell a row reads was
+// written by the row before it in this call or is still +inf.
 
-// PrunedDTW is the harshest consumer: with a tight upper bound, each row's
-// explored range shrinks below the band, so the next row reads cells past
-// the previous row's last explored column on almost every row. If the
-// engine's pre-row tail reset regresses, those reads pick up stale finite
-// costs from two rows back and the "exact" pruned distance silently
-// diverges from plain cDTW.
-TEST(DpEngineStaleTailTest, PrunedMatchesPlainUnderTightBound) {
-  DtwWorkspace workspace;  // Shared across all calls: maximally stale.
-  uint64_t total_pruned_cells = 0;
-  uint64_t total_plain_cells = 0;
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed);
-    const std::vector<double> x = gen::RandomWalk(128, rng);
-    const std::vector<double> y = gen::RandomWalk(128, rng);
-    for (const size_t band : {size_t{4}, size_t{13}, size_t{128}}) {
-      uint64_t plain_cells = 0;
-      const double plain = CdtwDistance(x, y, band, CostKind::kSquared,
-                                        &workspace, &plain_cells);
-      // The exact distance as the upper bound prunes as hard as an exact
-      // bound can while still being admissible.
-      uint64_t pruned_cells = 0;
-      const double pruned =
-          PrunedCdtwDistance(x, y, band, CostKind::kSquared, plain,
-                             &workspace, &pruned_cells);
-      EXPECT_EQ(pruned, plain) << "seed=" << seed << " band=" << band;
-      total_pruned_cells += pruned_cells;
-      total_plain_cells += plain_cells;
-    }
-  }
-  // The test only has teeth if pruning actually narrowed rows.
-  EXPECT_LT(total_pruned_cells, total_plain_cells);
-}
-
-// Direct re-widening pattern: a window whose rows are narrow, then wide.
-// The wide row's right tail reads prev-row cells the narrow row never
-// wrote; with a workspace deliberately poisoned by a larger earlier call,
-// a missing reset would read the earlier call's finite values.
+// Re-widening pattern: a window whose rows are narrow, then wide. The
+// wide row's right tail reads prev-row cells the narrow row never wrote;
+// with a workspace deliberately poisoned by a larger earlier call, a
+// PrepareRows that only grew the rows would leave the earlier call's
+// finite values there.
 TEST(DpEngineStaleTailTest, NarrowThenWideWindowIgnoresPoisonedWorkspace) {
   Rng rng(7);
   const std::vector<double> x = gen::RandomWalk(64, rng);
@@ -72,10 +39,13 @@ TEST(DpEngineStaleTailTest, NarrowThenWideWindowIgnoresPoisonedWorkspace) {
   DtwWorkspace poisoned;
   {
     // Fill the workspace with small finite values: a self-comparison
-    // leaves near-zero cumulative costs in both rows.
+    // leaves near-zero cumulative costs in both rows. The finite bound
+    // keeps the call on the row engine (the SIMD wavefront has its own
+    // buffers).
     Rng rng2(8);
     const std::vector<double> big = gen::RandomWalk(256, rng2);
-    (void)CdtwDistance(big, big, 256, CostKind::kSquared, &poisoned);
+    (void)CdtwDistanceAbandoning(big, big, 256, 1e300, CostKind::kSquared,
+                                 &poisoned);
   }
 
   // Itakura: one cell in the first row, widening toward the middle. Every
@@ -104,18 +74,21 @@ TEST(DpEngineWorkspaceTest, AllocsFlatAcrossRepeatedCallsOnOneWorkspace) {
   const std::vector<double> y = gen::RandomWalk(96, rng);
 
   // Warm up every scratch path the loop exercises: the banded and full
-  // calls may run the SIMD wavefront (wave buffers), the pruned call
-  // always runs the row engine (row buffers).
+  // calls may run the SIMD wavefront (wave buffers), the abandoning call
+  // at a finite bound always runs the row engine (row buffers).
   DtwWorkspace workspace;
+  const double bound = CdtwDistance(x, y, 10) * 2.0;
   (void)CdtwDistance(x, y, 10, CostKind::kSquared, &workspace);
   (void)DtwDistance(x, y, CostKind::kSquared, nullptr, &workspace);
-  (void)PrunedCdtwDistance(x, y, 10, CostKind::kSquared, -1.0, &workspace);
+  (void)CdtwDistanceAbandoning(x, y, 10, bound, CostKind::kSquared,
+                               &workspace);
 
   const obs::MetricsSnapshot before = obs::SnapshotCounters();
   for (int i = 0; i < 50; ++i) {
     (void)CdtwDistance(x, y, 10, CostKind::kSquared, &workspace);
     (void)DtwDistance(x, y, CostKind::kSquared, nullptr, &workspace);
-    (void)PrunedCdtwDistance(x, y, 10, CostKind::kSquared, -1.0, &workspace);
+    (void)CdtwDistanceAbandoning(x, y, 10, bound, CostKind::kSquared,
+                                 &workspace);
   }
   const obs::MetricsSnapshot delta = obs::CountersSince(before);
   EXPECT_EQ(delta.values[static_cast<size_t>(

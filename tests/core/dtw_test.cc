@@ -5,11 +5,14 @@
 #include "warp/core/dtw.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "testing/reference_impls.h"
+#include "warp/common/metrics.h"
 #include "warp/gen/random_walk.h"
 
 namespace warp {
@@ -175,6 +178,52 @@ TEST(CdtwAbandoningTest, NeverAbandonsBelowTrueDistance) {
   }
 }
 
+// Müller's 5x6 example (Fundamentals of Music Processing) under the
+// absolute cost. Its cumulative-cost matrix, row by row:
+//    1   2   3  10  16  17
+//    2   4   5   8  12  13
+//    3   5   7  10  12  13
+//    9  11  13   7   8  14
+//   10  10  11  14  13   9
+// so DTW = 9 and the row minima are 1, 2, 3, 7, 9. Band 6 spans every
+// column, and the unequal lengths take BandRowRange. The abandoning
+// kernel stops after the first row whose minimum exceeds the bound; the
+// kill rule is strict, so a distance equal to the bound comes back.
+TEST(CdtwAbandoningTest, MuellerMatrixPinsWhereTheKernelAbandons) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {1.0, 3.0, 3.0, 8.0, 1.0};
+  const std::vector<double> y = {2.0, 0.0, 0.0, 8.0, 7.0, 2.0};
+  EXPECT_EQ(DtwDistance(x, y, CostKind::kAbsolute), 9.0);
+
+  struct Case {
+    double bound;
+    double distance;
+    uint64_t cells;
+    uint64_t abandons;
+  };
+  const Case cases[] = {
+      {6.5, kInf, 24, 1},   // Row 3's minimum 7 > 6.5: 4 rows of 6 cells.
+      {7.0, kInf, 30, 1},   // Row 3 survives (7 is not > 7); row 4's 9 dies.
+      {8.99, kInf, 30, 1},  // The same, just under the distance.
+      {9.0, 9.0, 30, 0},    // 9 is not > 9: the exact distance.
+  };
+  for (const Case& c : cases) {
+    const obs::MetricsSnapshot before = obs::SnapshotCounters();
+    const double d =
+        CdtwDistanceAbandoning(x, y, 6, c.bound, CostKind::kAbsolute);
+    const obs::MetricsSnapshot delta = obs::CountersSince(before);
+    EXPECT_EQ(d, c.distance) << "bound " << c.bound;
+    if (!obs::kProfilingEnabled) continue;
+    EXPECT_EQ(delta.values[static_cast<size_t>(obs::Counter::kDtwCells)],
+              c.cells)
+        << "bound " << c.bound;
+    EXPECT_EQ(
+        delta.values[static_cast<size_t>(obs::Counter::kDtwEarlyAbandons)],
+        c.abandons)
+        << "bound " << c.bound;
+  }
+}
+
 TEST(WindowedDtwTest, FullWindowEqualsDtw) {
   Rng rng(15);
   const std::vector<double> x = gen::RandomWalk(40, rng);
@@ -250,8 +299,8 @@ TEST(EuclideanTest, BasicAndAbandoning) {
   const std::vector<double> y = {0.0, 4.0, 3.0};
   EXPECT_DOUBLE_EQ(EuclideanDistance(x, y), 16.0);
   EXPECT_DOUBLE_EQ(EuclideanDistance(x, y, CostKind::kAbsolute), 4.0);
-  EXPECT_TRUE(std::isinf(EuclideanDistanceAbandoning(x, y, 15.0)));
-  EXPECT_DOUBLE_EQ(EuclideanDistanceAbandoning(x, y, 16.0), 16.0);
+  EXPECT_TRUE(std::isinf(CdtwDistanceAbandoning(x, y, 0, 15.0)));
+  EXPECT_DOUBLE_EQ(CdtwDistanceAbandoning(x, y, 0, 16.0), 16.0);
 }
 
 TEST(MultiDtwTest, SingleChannelMatchesScalarDtw) {

@@ -160,13 +160,12 @@ TEST(GoldenMeasuresTest, UnequalLengthPins) {
   EXPECT_EQ(ReferenceFastDtw(a, u96, 10).distance, 0x1.2678a586a9859p+13);
 }
 
-// Kernel-level pins beyond the registry surface: pruning, early
-// abandoning, path recovery, FastDTW cell accounting, arbitrary windows,
-// the absolute cost, and the multivariate kernels.
+// Kernel-level pins beyond the registry surface: early abandoning, path
+// recovery, FastDTW cell accounting, arbitrary windows, the absolute
+// cost, and the multivariate kernels.
 TEST(GoldenMeasuresTest, KernelPins) {
   const std::vector<std::vector<double>> s = GoldenSeries();
 
-  EXPECT_EQ(PrunedCdtwDistance(s[0], s[1], kBand64), 0x1.d458ce59abf3cp+8);
   EXPECT_EQ(CdtwDistanceAbandoning(s[0], s[1], kBand64, 1e30),
             0x1.d458ce59abf3cp+8);
 

@@ -11,9 +11,11 @@
 #ifndef WARP_TOOLS_CLUSTER_MAIN_H_
 #define WARP_TOOLS_CLUSTER_MAIN_H_
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 
+#include "warp/cluster/proc.h"
 #include "warp/cluster/router.h"
 #include "warp/cluster/supervisor.h"
 #include "warp/common/flags.h"
@@ -85,8 +87,17 @@ inline int ClusterToolMain(Flags& flags,
   std::fflush(stdout);
 
   cluster::Router router(router_options, &supervisor);
+  // SIGTERM and SIGINT end the accept loop as a client's `shutdown` does
+  // (RequestShutdown is one atomic store), so the workers are stopped
+  // below either way. The handler cannot capture, hence the static; it
+  // may run on any thread, hence the atomic.
+  static std::atomic<cluster::Router*> signalled_router{nullptr};
+  signalled_router.store(&router);
+  cluster::HandleTerminationSignals(
+      [](int) { signalled_router.load()->RequestShutdown(); });
   const int status = cluster::RunRouter(&router);
   supervisor.Stop();
+  cluster::HandleTerminationSignals(nullptr);
   return status;
 }
 
