@@ -2,7 +2,9 @@
 // warm result cache.
 //
 // Four cases over the same synthetic random-walk dataset and query set
-// (in-process, no sockets — the wire adds parsing, not compute):
+// (in-process, no sockets — the wire adds parsing, not compute). Every
+// fifth query, query 0 among them, is a knn at k = 10 (the share the
+// repository benchmark's serve mix sends); the rest are 1nn:
 //
 //   serial      one orchestrator calls QueryEngine::Run per query; the
 //               pure library baseline, no serving machinery at all;
@@ -28,7 +30,9 @@
 // report (warp-bench-v1) carries the serve_* work counters per case.
 //
 // Determinism note: answers are bitwise-identical across all four cases
-// and any --threads; only the latency distribution differs.
+// and any --threads; only the latency distribution differs. Every case
+// digests all of query 0's neighbors (index, label, hexfloat distance)
+// and the run exits 1 if any case's digest differs from serial's.
 
 #include <algorithm>
 #include <atomic>
@@ -105,7 +109,8 @@ int Run(int argc, char** argv) {
   std::vector<serve::ServeRequest> requests(queries);
   for (size_t i = 0; i < queries; ++i) {
     requests[i].id = static_cast<int64_t>(i);
-    requests[i].op = serve::QueryOp::k1Nn;
+    requests[i].op = i % 5 == 0 ? serve::QueryOp::kKnn : serve::QueryOp::k1Nn;
+    requests[i].k = 10;  // Read by knn only.
     requests[i].dataset = "bench";
     requests[i].params.window_fraction = window;
     requests[i].query = query_set[i].values();
@@ -124,13 +129,14 @@ int Run(int argc, char** argv) {
 
   std::vector<std::string> checks;  // Per-case digest of query 0's answer.
   const auto digest = [](const serve::ServeResponse& response) {
+    std::string out = response.ok ? "ok" : "error: " + response.error;
     char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%zu:%a",
-                  response.neighbors.empty() ? size_t{0}
-                                             : response.neighbors[0].index,
-                  response.neighbors.empty() ? 0.0
-                                             : response.neighbors[0].distance);
-    return std::string(buffer);
+    for (const serve::Neighbor& n : response.neighbors) {
+      std::snprintf(buffer, sizeof(buffer), " %zu:%d:%a", n.index, n.label,
+                    n.distance);
+      out += buffer;
+    }
+    return out;
   };
 
   serve::ResultCache cache(cache_capacity);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
@@ -52,21 +53,28 @@ struct Deadline {
   }
 };
 
-// Monotone shared upper bound for cross-chunk pruning. Only ever
-// decreases; pruning tests are STRICT (lb > bound), so a candidate tying
-// the final best is never pruned and the (distance, index) winner is
-// scheduling-independent.
-struct SharedBound {
-  std::atomic<double> value{kInf};
+// The k smallest distances a 1nn/knn scan has found so far, shared by
+// every chunk of its plan: the published k-th value bounds each
+// candidate's cascade whichever chunk, shard or thread runs it. It is the
+// k-th smallest of a subset of the scan's distances, so it never falls
+// below the final k-th best, and the cascade kills only strictly above
+// it: no member of the final (distance, index) top-k is ever pruned.
+struct SharedTopK {
+  std::mutex mutex;
+  std::vector<double> best;  // Ascending, at most k long; under `mutex`.
+  std::atomic<double> kth{kInf};
 
-  double Get() const { return value.load(std::memory_order_relaxed); }
+  double Bound() const { return kth.load(std::memory_order_relaxed); }
 
-  void Lower(double candidate) {
-    double current = value.load(std::memory_order_relaxed);
-    while (candidate < current &&
-           !value.compare_exchange_weak(current, candidate,
-                                        std::memory_order_relaxed)) {
-    }
+  // A distance equal to the bound cannot lower the k-th value, so only a
+  // strictly smaller one takes the lock.
+  void Offer(double distance, size_t k) {
+    if (!(distance < Bound())) return;
+    const std::lock_guard<std::mutex> lock(mutex);
+    best.insert(std::upper_bound(best.begin(), best.end(), distance),
+                distance);
+    if (best.size() > k) best.pop_back();
+    if (best.size() == k) kth.store(best.back(), std::memory_order_relaxed);
   }
 };
 
@@ -75,10 +83,6 @@ struct SharedBound {
 struct ChunkHits {
   std::vector<Neighbor> hits;  // Sorted by NeighborLess for top-k mode.
   uint64_t scanned = 0;
-
-  double KthBound(size_t k) const {
-    return hits.size() == k ? hits.back().distance : kInf;
-  }
 };
 
 }  // namespace
@@ -140,7 +144,7 @@ struct QueryEngine::Impl {
     size_t band_slot = StoredDataset::kNoBand;  // Candidate envelope slot.
     SeriesMeasure measure;  // Brute-force path only.
     Deadline deadline;
-    SharedBound shared;  // 1nn cross-chunk bound; unused for knn/range.
+    SharedTopK top_k;  // 1nn/knn cross-chunk bound; unused for range.
     std::vector<ShardSlice> slices;  // One per shard, in shard order.
     std::vector<ChunkHits> chunks;   // Shard-major.
     // Telemetry accumulated across chunks. Integer nanoseconds and cell
@@ -426,15 +430,13 @@ struct QueryEngine::Impl {
       ++out.scanned;
       // The pruning threshold: anything with distance strictly above it
       // cannot enter the answer. Range queries use the fixed request
-      // threshold; 1nn combines the shared bound with the chunk-local
-      // best; knn uses the chunk-local k-th best. All three are valid
-      // upper bounds no matter how candidates are partitioned into
+      // threshold; 1nn and knn the plan-wide k-th best so far. Both are
+      // valid upper bounds no matter how candidates are partitioned into
       // chunks or shards, and the cascade kills only strictly above
-      // them, so re-sharding can change which candidates get pruned but
-      // never the answer.
+      // them, so re-sharding or scheduling can change which candidates
+      // get pruned but never the answer.
       const double bound =
-          plan.is_range ? request.threshold
-                        : std::min(plan.shared.Get(), out.KthBound(plan.k));
+          plan.is_range ? request.threshold : plan.top_k.Bound();
       double distance;
       if (cascade) {
         if (cascade->KilledByKim(kims[i - begin], bound)) continue;
@@ -443,6 +445,8 @@ struct QueryEngine::Impl {
             candidate_envelopes != nullptr ? &(*candidate_envelopes)[i]
                                            : nullptr);
         if (distance == kInf) continue;
+        // Brute-force scans read no bound, so only the cascade publishes.
+        if (!plan.is_range) plan.top_k.Offer(distance, plan.k);
       } else {
         distance = plan.measure(plan.query, shard.data[i].view());
       }
@@ -456,7 +460,6 @@ struct QueryEngine::Impl {
       } else {
         AddTopK(&out.hits, {global, shard.data[i].label(), distance},
                 plan.k);
-        if (plan.k == 1) plan.shared.Lower(distance);
       }
     }
   }

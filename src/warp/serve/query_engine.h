@@ -8,8 +8,9 @@
 //   (built once per request) -> LB_Keogh(candidate envelope, query)
 //   (precomputed) -> early-abandoning cDTW
 //
-// with each rung pruned against the current best-so-far, k-th best or
-// range threshold. Other registered measures scan brute-force through
+// with each rung pruned against the range threshold or, for 1nn and knn,
+// the k-th best so far of the whole scan, shared by its chunks, shards and
+// threads. Other registered measures scan brute-force through
 // their registry closure. Scans run on the engine's ThreadPool in
 // fixed-size chunks; per-chunk winners merge on the calling thread by the
 // total order (distance, index), so every answer is bitwise-identical at

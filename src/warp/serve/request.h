@@ -53,8 +53,8 @@ struct StageTrace {
   double serialize_us = 0.0;  // ServeResponse -> wire line (protocol)
   // DP cells this execution computed (dtw_cells delta; 0 on cache hits
   // and under WARP_PROFILE=OFF). Deterministic at one engine thread,
-  // unlike the timings. A multi-thread `1nn` scan prunes against a bound
-  // its chunks share, so its count depends on scheduling.
+  // unlike the timings. A multi-thread `1nn` or `knn` scan prunes against
+  // a bound its chunks share, so its count depends on scheduling.
   uint64_t cells = 0;
 };
 

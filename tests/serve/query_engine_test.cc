@@ -1,6 +1,7 @@
 // QueryEngine golden tests: every operation must equal a direct call into
-// the library — bitwise, at 1, 2, and 8 threads — plus deadline, batch,
-// and validation semantics.
+// the library — bitwise, at 1, 2, and 8 threads, knn also at 2 and 7
+// shards — plus deadline, batch, and validation semantics, and the
+// cascade work a knn scan does against the accelerated classifier's.
 
 #include "warp/serve/query_engine.h"
 
@@ -17,6 +18,7 @@
 #include "warp/common/metrics.h"
 #include "warp/core/measure.h"
 #include "warp/gen/random_walk.h"
+#include "warp/mining/nn_classifier.h"
 #include "warp/mining/similarity_search.h"
 #include "warp/serve/dataset_store.h"
 #include "warp/ts/znorm.h"
@@ -74,9 +76,14 @@ std::vector<size_t> RankedIndices(const std::vector<double>& distances) {
 
 class QueryEngineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    store_.Register("train", gen::RandomWalkDataset(kSeries, kLength, 21),
+  // The "train" dataset, registered into a store of any shard count.
+  static void RegisterTrain(DatasetStore* store) {
+    store->Register("train", gen::RandomWalkDataset(kSeries, kLength, 21),
                     {6});  // 6 == lround(0.1 * 64): the default window.
+  }
+
+  void SetUp() override {
+    RegisterTrain(&store_);
     query_ = gen::RandomWalkDataset(1, kLength, 77)[0].values();
   }
 
@@ -92,9 +99,15 @@ class QueryEngineTest : public ::testing::Test {
   // against `check`; also cross-checks serial Run vs RunBatch.
   void RunAllWays(const ServeRequest& request,
                   const std::function<void(const ServeResponse&)>& check) {
+    RunAllWays(store_, request, check);
+  }
+
+  static void RunAllWays(
+      const DatasetStore& store, const ServeRequest& request,
+      const std::function<void(const ServeResponse&)>& check) {
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      QueryEngine engine(&store_, nullptr, threads);
+      QueryEngine engine(&store, nullptr, threads);
       check(engine.Run(request));
       std::vector<ServeResponse> responses;
       engine.RunBatch({request, request}, &responses);
@@ -127,22 +140,80 @@ TEST_F(QueryEngineTest, OneNnMatchesBruteForceBitwise) {
   });
 }
 
+// k below, at and past the 8-candidate scan chunk, up to every series and
+// past it (57 > 50: the reply holds all 50), at 1, 2 and 7 shards: the
+// plan-wide k-th best prunes across chunks, shards and threads without
+// moving a bit of the answer.
 TEST_F(QueryEngineTest, KnnMatchesBruteForceOrderAndBits) {
-  ServeRequest request = Request(QueryOp::kKnn);
-  request.k = 5;
   const auto snapshot = store_.Get("train");
   const std::vector<double> reference =
-      ReferenceDistances(*snapshot, request);
+      ReferenceDistances(*snapshot, Request(QueryOp::kKnn));
   const std::vector<size_t> ranked = RankedIndices(reference);
+  DatasetStore two_shards(2);
+  DatasetStore seven_shards(7);
+  RegisterTrain(&two_shards);
+  RegisterTrain(&seven_shards);
 
-  RunAllWays(request, [&](const ServeResponse& response) {
-    ASSERT_TRUE(response.ok) << response.error;
-    ASSERT_EQ(response.neighbors.size(), 5u);
-    for (size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(response.neighbors[i].index, ranked[i]) << i;
-      EXPECT_EQ(response.neighbors[i].distance, reference[ranked[i]]) << i;
+  for (const size_t k : {size_t{5}, size_t{8}, size_t{10}, size_t{16},
+                         size_t{50}, size_t{57}}) {
+    ServeRequest request = Request(QueryOp::kKnn);
+    request.k = k;
+    const size_t expected = std::min(k, kSeries);
+    for (const DatasetStore* store : {&store_, &two_shards, &seven_shards}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " shards=" + std::to_string(store->shard_count()));
+      RunAllWays(*store, request, [&](const ServeResponse& response) {
+        ASSERT_TRUE(response.ok) << response.error;
+        ASSERT_EQ(response.neighbors.size(), expected);
+        for (size_t i = 0; i < expected; ++i) {
+          EXPECT_EQ(response.neighbors[i].index, ranked[i]) << i;
+          EXPECT_EQ(response.neighbors[i].label,
+                    snapshot->SeriesAt(ranked[i]).label())
+              << i;
+          EXPECT_EQ(response.neighbors[i].distance, reference[ranked[i]])
+              << i;
+        }
+      });
     }
-  });
+  }
+}
+
+// knn prunes against the plan-wide k-th best so far, the bound the
+// accelerated classifier's ClassifyKnn keeps. At one thread and one shard
+// the engine meets the candidates in the classifier's order under the
+// same bound, so every cascade rung and the DP cells do the same work.
+TEST_F(QueryEngineTest, KnnDoesTheClassifiersCascadeWork) {
+  const auto snapshot = store_.Get("train");
+  Dataset train;
+  for (size_t i = 0; i < snapshot->size(); ++i) {
+    train.Add(snapshot->SeriesAt(i));
+  }
+  const AcceleratedNnClassifier classifier(train, 6);
+  const std::vector<double> query = ZNormalized(query_);
+  QueryEngine engine(&store_, nullptr, 1);
+
+  for (const size_t k : {size_t{1}, size_t{5}, size_t{8}, size_t{10},
+                         size_t{16}, size_t{50}}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ServeRequest request = Request(QueryOp::kKnn);
+    request.k = k;
+    obs::MetricsSnapshot before = obs::SnapshotCounters();
+    const ServeResponse response = engine.Run(request);
+    const obs::MetricsSnapshot engine_work = obs::CountersSince(before);
+    before = obs::SnapshotCounters();
+    const Prediction prediction = classifier.ClassifyKnn(query, k);
+    const obs::MetricsSnapshot classifier_work = obs::CountersSince(before);
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.neighbors[0].index, prediction.nn_index);
+    if (!obs::kProfilingEnabled) continue;
+    for (const obs::Counter counter :
+         {obs::Counter::kDtwCells, obs::Counter::kLbKimKills,
+          obs::Counter::kLbKeoghKills, obs::Counter::kCascadeEarlyAbandons,
+          obs::Counter::kCascadeFullDtw}) {
+      EXPECT_EQ(engine_work[counter], classifier_work[counter])
+          << obs::CounterName(counter);
+    }
+  }
 }
 
 TEST_F(QueryEngineTest, RangeMatchesBruteForceFilter) {
