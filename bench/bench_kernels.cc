@@ -82,6 +82,40 @@ void BM_CdtwScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_CdtwScalar)->Args({945, 4})->Args({945, 20})->Args({24000, 1});
 
+// The cascade's DP rung at serve's, classify's and long search's shapes
+// (N, w%), against a bound of bound_percent of the pair's exact distance:
+// 50 abandons, 200 runs to the end.
+void RunCdtwAbandoning(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t w_percent = static_cast<size_t>(state.range(1));
+  const double bound_percent = static_cast<double>(state.range(2));
+  const auto x = MakeWalk(n, 3);
+  const auto y = MakeWalk(n, 4);
+  const size_t band = n * w_percent / 100;
+  const double bound = CdtwDistance(x, y, band) * bound_percent / 100.0;
+  DtwBuffer buffer;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CdtwDistanceAbandoning(
+        x, y, band, bound, CostKind::kSquared, &buffer));
+  }
+}
+
+void AbandoningShapes(benchmark::internal::Benchmark* b) {
+  const int64_t shapes[][2] = {{256, 5}, {315, 5}, {512, 10}};
+  for (const auto& shape : shapes) {
+    b->Args({shape[0], shape[1], 50})->Args({shape[0], shape[1], 200});
+  }
+}
+
+void BM_CdtwAbandoning(benchmark::State& state) { RunCdtwAbandoning(state); }
+BENCHMARK(BM_CdtwAbandoning)->Apply(AbandoningShapes);
+
+void BM_CdtwAbandoningScalar(benchmark::State& state) {
+  simd::ScopedSimdMode scalar(simd::SimdMode::kOff);
+  RunCdtwAbandoning(state);
+}
+BENCHMARK(BM_CdtwAbandoningScalar)->Apply(AbandoningShapes);
+
 void BM_FastDtw(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t radius = static_cast<size_t>(state.range(1));

@@ -35,9 +35,11 @@ SUITE = [
     ("bench_ablation", ["--train=16", "--test=8", "--reps=2"]),
     ("bench_serve_throughput", ["--series=20", "--length=32", "--queries=64",
                                 "--clients=2", "--threads=2", "--repeats=1"]),
-    # Names carry a trailing lanes arg (BM_Envelope/<n>/<lanes>), so
-    # match the prefix instead of anchoring the end.
-    ("bench_kernels", ["--benchmark_filter=BM_Envelope/128/"]),
+    # Names carry trailing args (BM_Envelope/<n>/<lanes>,
+    # BM_CdtwAbandoning/<n>/<w%>/<bound%>), so match the prefix instead of
+    # anchoring the end.
+    ("bench_kernels",
+     ["--benchmark_filter=BM_Envelope/128/|BM_CdtwAbandoning/256/"]),
 ]
 
 TIMING_KEYS = {

@@ -52,8 +52,30 @@ double Cascade::Distance(std::span<const double> candidate, double bound,
     if (counts_ != nullptr) ++counts_->pruned_by_keogh;
     return kInf;
   }
-  const double d = CdtwDistanceAbandoning(query_, candidate, band_, bound,
-                                          cost_, workspace);
+  // The forward rung's terms as suffix sums: column j of any path costs at
+  // least candidate point j's excursion from the query envelope. An
+  // unbounded call cannot abandon and skips them.
+  KeoghResidual residual{{}, band_};
+  if (bound < kInf && workspace != nullptr) {
+    const size_t m = candidate.size();
+    workspace->PrepareResidual(m);
+    double* suffix = workspace->residual.data();
+    WithCost(cost_, [&](auto c) {
+      double sum = 0.0;
+      suffix[0] = 0.0;
+      for (size_t k = 1; k < m; ++k) {
+        const double v = candidate[m - k];
+        const double hi = envelope_.upper[m - k];
+        const double lo = envelope_.lower[m - k];
+        sum += v > hi ? c(v, hi) : (v < lo ? c(v, lo) : 0.0);
+        suffix[k] = sum;
+      }
+    });
+    residual.suffix = workspace->residual;
+  }
+  const double d = CdtwDistanceAbandoning(
+      query_, candidate, band_, bound, cost_, workspace,
+      residual.suffix.empty() ? nullptr : &residual);
   if (d == kInf) {
     WARP_COUNT(obs::Counter::kCascadeEarlyAbandons);
     if (counts_ != nullptr) ++counts_->abandoned_dtw;

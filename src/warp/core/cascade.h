@@ -12,7 +12,10 @@
 //      contiguous heads/tails in vector lanes.
 //   2. LB_Keogh of the candidate against the query envelope, then of the
 //      query against the candidate's envelope when the caller has one.
-//   3. CdtwDistanceAbandoning at the bound.
+//   3. CdtwDistanceAbandoning at the bound, given rung 2's forward terms
+//      as a residual. Where it abandons depends on the DP engine, so the
+//      split of cascade_early_abandons and cascade_full_dtw depends on
+//      the SIMD mode; the distances do not.
 //
 // A rung kills only when its lower bound is strictly greater than the
 // bound. A candidate that ties the bound reaches the next rung, so a scan

@@ -65,12 +65,15 @@ struct DtwWorkspace {
   // buffers plus padded copies of x and reversed y, all padded by
   // simd::kWavePad so overhanging vector steps stay in bounds; the top/
   // left gap-prefix arrays are only sized when a policy needs boundary
-  // values (ERP).
+  // values (ERP). Sized, not filled: the sweep writes each slot before it
+  // reads it, except padding, which feeds only discarded overhang lanes.
   std::vector<double> wave_diag[3];
   std::vector<double> wave_x;
   std::vector<double> wave_y_rev;
   std::vector<double> wave_top;
   std::vector<double> wave_left;
+
+  std::vector<double> residual;  // Cascade::Distance's LB_Keogh suffix sums.
 
   void PrepareRows(size_t cols) {
     if (cols > prev.capacity() || cols > cur.capacity()) {
@@ -81,8 +84,13 @@ struct DtwWorkspace {
     cur.assign(cols, kInf);
   }
 
+  void PrepareResidual(size_t cols) {
+    const size_t len = cols + simd::kWavePad;  // Padding is never a value.
+    if (len > residual.capacity()) WARP_COUNT(obs::Counter::kWorkspaceAllocs);
+    residual.resize(len);
+  }
+
   void PrepareWave(size_t rows, size_t cols, bool boundaries) {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     const size_t diag_len = rows + simd::kWavePad;
     const size_t y_len = cols + simd::kWavePad;
     bool grows = diag_len > wave_diag[0].capacity() ||
@@ -94,12 +102,12 @@ struct DtwWorkspace {
               rows > wave_left.capacity();
     }
     if (grows) WARP_COUNT(obs::Counter::kWorkspaceAllocs);
-    for (std::vector<double>& d : wave_diag) d.assign(diag_len, kInf);
-    wave_x.assign(diag_len, 0.0);
-    wave_y_rev.assign(y_len, 0.0);
+    for (std::vector<double>& d : wave_diag) d.resize(diag_len);
+    wave_x.resize(diag_len);
+    wave_y_rev.resize(y_len);
     if (boundaries) {
-      wave_top.assign(cols, 0.0);
-      wave_left.assign(rows, 0.0);
+      wave_top.resize(cols);
+      wave_left.resize(rows);
     }
   }
 };
@@ -421,10 +429,11 @@ struct WaveSpec<ErpPolicy> {
 // the row engine" and touches nothing. Geometry: a square Sakoe–Chiba
 // band (n == m, any band), or unequal lengths with a band wide enough
 // that every row is full (BandRowRange spans every column exactly when
-// band >= m - 1). Early abandoning is row-structured (a row minimum is
-// not a diagonal minimum), so abandoning calls never come here.
+// band >= m - 1). A finite `abandon_above` runs the abandoning sweep,
+// which tests anti-diagonal pairs (dp_simd.h); ERP never abandons.
 template <typename Policy>
 bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
+                  double abandon_above, const double* residual,
                   DtwWorkspace* workspace, const EngineCounters& counters,
                   double* result) {
   using Spec = WaveSpec<Policy>;
@@ -458,6 +467,7 @@ bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
   simd::WaveStats stats;
   double value;
   if constexpr (Spec::kErp) {
+    WARP_DCHECK(abandon_above == kInf);
     // Gap prefixes in exactly ErpPolicy's sequential accumulation
     // order (InitTopRow / LeftBoundary), so the injected boundary
     // values are bitwise the row engine's.
@@ -479,13 +489,14 @@ bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
   } else {
     value = simd::WaveMinPlus<typename Spec::CostFn, Spec::kAmerced>(
         xp, static_cast<int64_t>(n), yr, static_cast<int64_t>(m), wave_band,
-        Spec::Omega(policy), b0, b1, b2, &stats);
+        Spec::Omega(policy), b0, b1, b2, &stats, abandon_above, residual);
   }
 
-  // The wavefront visits exactly the row engine's band cells (the same
-  // set, enumerated by diagonals instead of rows).
+  // A sweep that runs to the end visits exactly the row engine's band
+  // cells (the same set, enumerated by diagonals instead of rows).
   if (counters.cells_out != nullptr) *counters.cells_out = stats.cells;
   CountMaybe(counters.cells, stats.cells);
+  if (stats.abandoned) CountMaybe(counters.abandons, 1);
   WARP_COUNT_ADD(obs::Counter::kSimdBlocks, stats.blocks);
   WARP_COUNT_ADD(obs::Counter::kSimdScalarTail, stats.tail);
   *result = value;
@@ -507,11 +518,14 @@ bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
 // wrote prev[lo(i-1) .. hi(i-1)+1], and no earlier row of this call wrote
 // past hi(i-1)+1, so every slot row i reads is either row i-1's or still
 // +inf. tests/core/dp_engine_test.cc pins this with a poisoned workspace.
+// An abandoning call stops once a row's minimum, plus the residual of the
+// columns past the row, exceeds `abandon_above`.
 template <bool kAbandoning, typename RowRangeFn, typename Policy>
 double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
                         Policy& policy, double abandon_above,
                         DtwWorkspace* workspace,
-                        const EngineCounters& counters) {
+                        const EngineCounters& counters,
+                        const double* residual) {
   WARP_CHECK(n > 0 && m > 0);
   DtwWorkspace local;
   DtwWorkspace* ws = workspace != nullptr ? workspace : &local;
@@ -557,6 +571,7 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
     }
     visited += hi - lo + 1;
     if constexpr (kAbandoning) {
+      if (residual != nullptr) row_min += residual[m - 1 - hi];
       if (row_min > abandon_above) {
         report();
         CountMaybe(counters.abandons, 1);
@@ -574,39 +589,53 @@ double TwoRowEngineImpl(size_t n, size_t m, RowRangeFn&& row_range,
 template <typename RowRangeFn, typename Policy>
 double TwoRowEngine(size_t n, size_t m, RowRangeFn&& row_range, Policy policy,
                     double abandon_above, DtwWorkspace* workspace,
-                    const EngineCounters& counters) {
+                    const EngineCounters& counters,
+                    const double* residual = nullptr) {
   if (abandon_above == kInf) {
     return TwoRowEngineImpl<false>(n, m, row_range, policy, abandon_above,
-                                   workspace, counters);
+                                   workspace, counters, nullptr);
   }
   return TwoRowEngineImpl<true>(n, m, row_range, policy, abandon_above,
-                                workspace, counters);
+                                workspace, counters, residual);
 }
 
 // The one dispatch every elastic distance enters by; an unconstrained
-// measure passes band max(n, m), whose rows span every column. A call
-// that cannot abandon tries the SIMD wavefront first. The row engine then
-// takes the integer fast path when the band is square (n == m); the
-// generalized scaled-diagonal range produces identical ranges there, just
-// with more arithmetic per row.
+// measure passes band max(n, m), whose rows span every column. Every call
+// tries the SIMD wavefront first. The row engine then takes the integer
+// fast path when the band is square (n == m); the generalized scaled-
+// diagonal range produces identical ranges there, just with more
+// arithmetic per row.
+//
+// `residual` (m + simd::kWavePad doubles) lower-bounds what a path still
+// pays in the last k columns as residual[k]. It is summed apart from the
+// DP, so fl(D + residual) can exceed the DP's own total on an exact tie;
+// tests that add it use the bound widened by both sums' rounding.
 template <typename Policy>
 double BandedTwoRowEngine(size_t n, size_t m, size_t band, Policy policy,
                           double abandon_above = kInf,
                           DtwWorkspace* workspace = nullptr,
-                          const EngineCounters& counters = {}) {
+                          const EngineCounters& counters = {},
+                          const double* residual = nullptr) {
+  if (residual != nullptr) {
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    const double slack = static_cast<double>(2 * (n + m) + 8) * kEps;
+    abandon_above =
+        std::nextafter(abandon_above + abandon_above * slack, kInf);
+  }
   if constexpr (WaveSpec<Policy>::kEligible) {
     double wave_result;
-    if (abandon_above == kInf &&
-        TryWavefront(n, m, band, policy, workspace, counters, &wave_result)) {
+    if (TryWavefront(n, m, band, policy, abandon_above, residual, workspace,
+                     counters, &wave_result)) {
       return wave_result;
     }
   }
   if (n == m) {
     return TwoRowEngine(n, m, SquareBandRowRange{band, m - 1},
-                        std::move(policy), abandon_above, workspace, counters);
+                        std::move(policy), abandon_above, workspace, counters,
+                        residual);
   }
   return TwoRowEngine(n, m, MakeBandRowRange(n, m, band), std::move(policy),
-                      abandon_above, workspace, counters);
+                      abandon_above, workspace, counters, residual);
 }
 
 // ---------------------------------------------------------------------------

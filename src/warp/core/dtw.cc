@@ -30,10 +30,10 @@ dp::EngineCounters DtwCounters(uint64_t* cells) {
 template <typename CellCostFn>
 double BandedDistance(size_t n, size_t m, size_t band, CellCostFn&& cell_cost,
                       double abandon_above, DtwWorkspace* workspace,
-                      uint64_t* cells) {
+                      uint64_t* cells, const double* residual = nullptr) {
   return dp::BandedTwoRowEngine(
       n, m, band, dp::MinPlusPolicy<CellCostFn>{cell_cost}, abandon_above,
-      workspace, DtwCounters(cells));
+      workspace, DtwCounters(cells), residual);
 }
 
 }  // namespace
@@ -81,13 +81,19 @@ double CdtwDistanceFraction(std::span<const double> x,
 double CdtwDistanceAbandoning(std::span<const double> x,
                               std::span<const double> y, size_t band,
                               double abandon_above, CostKind cost,
-                              DtwWorkspace* buffer) {
+                              DtwWorkspace* buffer,
+                              const KeoghResidual* residual) {
   WARP_CHECK(!x.empty() && !y.empty());
+  // The terms bound in-band costs only at their band and equal lengths.
+  WARP_CHECK(residual == nullptr ||
+             (x.size() == y.size() && residual->band == band &&
+              residual->suffix.size() >= y.size() + simd::kWavePad));
   return WithCost(cost, [&](auto c) {
     return BandedDistance(
         x.size(), y.size(), band,
         dp::SeriesCellCost<decltype(c)>{x.data(), y.data(), c}, abandon_above,
-        buffer, nullptr);
+        buffer, nullptr,
+        residual != nullptr ? residual->suffix.data() : nullptr);
   });
 }
 

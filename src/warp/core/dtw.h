@@ -72,14 +72,27 @@ double CdtwDistanceFraction(std::span<const double> x,
                             CostKind cost = CostKind::kSquared,
                             DtwBuffer* buffer = nullptr);
 
-// Early-abandoning variant: returns +infinity as soon as every cell in a
-// DP row exceeds `abandon_above` (at which point the true distance is
-// provably > abandon_above). Used by the accelerated 1-NN search.
+// LB_Keogh's per-column terms of y against x's envelope at `band`, as
+// suffix sums: suffix[k] sums the terms of y's last k points, so every
+// warping path still pays at least that in the last k columns. Holds
+// y.size() + simd::kWavePad doubles. Cascade::Distance writes it.
+struct KeoghResidual {
+  std::span<const double> suffix;
+  size_t band = 0;
+};
+
+// Early-abandoning variant: CdtwDistance's exact result, or +infinity only
+// when that exceeds `abandon_above`. The row engine tests each row's
+// minimum, the SIMD wavefront one pair of consecutive anti-diagonals in
+// four, so where a call abandons depends on the engine. `residual` (equal
+// lengths, residual->band == band) adds what the columns after a tested
+// cell must still cost. Used by the pruning cascade.
 double CdtwDistanceAbandoning(std::span<const double> x,
                               std::span<const double> y, size_t band,
                               double abandon_above,
                               CostKind cost = CostKind::kSquared,
-                              DtwBuffer* buffer = nullptr);
+                              DtwBuffer* buffer = nullptr,
+                              const KeoghResidual* residual = nullptr);
 
 // Distance and path under a Sakoe–Chiba band.
 DtwResult Cdtw(std::span<const double> x, std::span<const double> y,
@@ -120,7 +133,8 @@ double NormalizedDtwDistance(std::span<const double> x,
 // Euclidean distance (= cDTW_0): the registry's `ed` and ADTW's omega
 // suggestion. Lengths must match. For an early-abandoning Euclidean
 // distance call CdtwDistanceAbandoning at band 0: on equal lengths it adds
-// the same costs in the same order and abandons on the same partial sum.
+// the same costs in the same order, and on the row engine it abandons on
+// the same partial sum.
 
 double EuclideanDistance(std::span<const double> x,
                          std::span<const double> y,

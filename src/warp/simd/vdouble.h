@@ -108,6 +108,19 @@ struct vdouble {
     return _mm256_movemask_pd(_mm256_or_pd(above, below)) != 0;
   }
 
+  // Lanes below `count` from a, the rest from b; count >= kLanes keeps
+  // all of a.
+  friend vdouble SelectFirst(size_t count, vdouble a, vdouble b) {
+    return {_mm256_blendv_pd(b.v, a.v, _mm256_castsi256_pd(TailMask(count)))};
+  }
+
+  // The smallest lane.
+  friend double MinLane(vdouble a) {
+    const __m128d half = _mm_min_pd(_mm256_castpd256_pd128(a.v),
+                                    _mm256_extractf128_pd(a.v, 1));
+    return _mm_cvtsd_f64(_mm_min_sd(half, _mm_unpackhi_pd(half, half)));
+  }
+
  private:
   static __m256i TailMask(size_t count) {
     // Lane l is loaded/stored when its 64-bit mask value is negative.
@@ -172,6 +185,14 @@ struct vdouble {
     const uint64x2_t either = vorrq_u64(above, below);
     return (vgetq_lane_u64(either, 0) | vgetq_lane_u64(either, 1)) != 0;
   }
+
+  friend vdouble SelectFirst(size_t count, vdouble a, vdouble b) {
+    if (count >= 2) return a;
+    if (count == 0) return b;
+    return {vsetq_lane_f64(vgetq_lane_f64(a.v, 0), b.v, 0)};
+  }
+
+  friend double MinLane(vdouble a) { return vminvq_f64(a.v); }
 };
 
 #else  // scalar fallback
@@ -246,6 +267,20 @@ struct vdouble {
       if (val.v[l] > hi.v[l] || val.v[l] < lo.v[l]) return true;
     }
     return false;
+  }
+
+  friend vdouble SelectFirst(size_t count, vdouble a, vdouble b) {
+    vdouble r;
+    for (size_t l = 0; l < kLanes; ++l) r.v[l] = l < count ? a.v[l] : b.v[l];
+    return r;
+  }
+
+  friend double MinLane(vdouble a) {
+    double best = a.v[0];
+    for (size_t l = 1; l < kLanes; ++l) {
+      if (a.v[l] < best) best = a.v[l];
+    }
+    return best;
   }
 };
 

@@ -7,6 +7,7 @@
 
 #include "warp/core/cascade.h"
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <string>
@@ -51,6 +52,33 @@ TEST(CascadeTest, KillsOnlyStrictlyAboveTheBound) {
   EXPECT_EQ(counts.pruned_by_keogh, 1u);
   EXPECT_EQ(counts.abandoned_dtw, 0u);
   EXPECT_EQ(counts.full_dtw, 1u);
+}
+
+// The DP adds LB_Keogh's suffix sums to its abandon test, and they are
+// rounded apart from the DP's own sum. Against a zero query, a candidate
+// of 1 then 2^-27s costs 1 + k * 2^-54 exactly, and the DP rounds every
+// 2^-54 away against the 1; the residual sums them alone, so 1 + residual
+// is above 1. A test that killed that tie at bound == distance would break
+// the strict `> bound` rule; the widened bound keeps it. Length 40 is what
+// catches the wavefront: on length 5 its one test point adds one 2^-54.
+TEST(CascadeTest, ResidualNeverKillsATie) {
+  const double tiny = std::ldexp(1.0, -27);
+  for (const size_t length : {5u, 40u}) {
+    const std::vector<double> query(length, 0.0);
+    std::vector<double> candidate(length, tiny);
+    candidate[0] = 1.0;
+    for (const simd::SimdMode mode : kModes) {
+      const simd::ScopedSimdMode scoped(mode);
+      for (const size_t band : {0u, 1u, 2u, 8u, 20u}) {
+        const double exact = CdtwDistance(query, candidate, band);
+        const Cascade cascade(query, band, CostKind::kSquared);
+        DtwWorkspace workspace;
+        EXPECT_EQ(cascade.Distance(candidate, exact, &workspace), exact)
+            << "length " << length << " band " << band << " "
+            << simd::SimdModeName(mode);
+      }
+    }
+  }
 }
 
 TEST(CascadeTest, LengthOneCountsItsOnlyCellOnce) {

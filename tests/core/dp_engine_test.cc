@@ -14,6 +14,7 @@
 #include "warp/gen/random_walk.h"
 #include "warp/mining/nn_classifier.h"
 #include "warp/common/metrics.h"
+#include "warp/simd/dispatch.h"
 
 namespace warp {
 namespace {
@@ -38,14 +39,13 @@ TEST(DpEngineStaleTailTest, NarrowThenWideWindowIgnoresPoisonedWorkspace) {
 
   DtwWorkspace poisoned;
   {
-    // Fill the workspace with small finite values: a self-comparison
-    // leaves near-zero cumulative costs in both rows. The finite bound
-    // keeps the call on the row engine (the SIMD wavefront has its own
-    // buffers).
-    Rng rng2(8);
-    const std::vector<double> big = gen::RandomWalk(256, rng2);
-    (void)CdtwDistanceAbandoning(big, big, 256, 1e300, CostKind::kSquared,
-                                 &poisoned);
+    // Fill both rows with zeros: comparing 256 zeros with themselves
+    // leaves zero cumulative costs in all 257 slots, below anything the
+    // narrow calls compute. Scalar mode keeps the call on the row engine
+    // (the SIMD wavefront has its own buffers).
+    const simd::ScopedSimdMode scalar(simd::SimdMode::kOff);
+    const std::vector<double> zeros(256, 0.0);
+    (void)CdtwDistance(zeros, zeros, 256, CostKind::kSquared, &poisoned);
   }
 
   // Itakura: one cell in the first row, widening toward the middle. Every
@@ -73,9 +73,9 @@ TEST(DpEngineWorkspaceTest, AllocsFlatAcrossRepeatedCallsOnOneWorkspace) {
   const std::vector<double> x = gen::RandomWalk(96, rng);
   const std::vector<double> y = gen::RandomWalk(96, rng);
 
-  // Warm up every scratch path the loop exercises: the banded and full
-  // calls may run the SIMD wavefront (wave buffers), the abandoning call
-  // at a finite bound always runs the row engine (row buffers).
+  // Warm up every scratch path the loop exercises: each call runs the SIMD
+  // wavefront (wave buffers) when the band is wide enough and SIMD is on,
+  // and the row engine (row buffers) otherwise.
   DtwWorkspace workspace;
   const double bound = CdtwDistance(x, y, 10) * 2.0;
   (void)CdtwDistance(x, y, 10, CostKind::kSquared, &workspace);

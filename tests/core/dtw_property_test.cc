@@ -15,6 +15,7 @@
 #include "warp/core/fastdtw.h"
 #include "warp/core/lower_bounds.h"
 #include "warp/gen/random_walk.h"
+#include "warp/simd/dispatch.h"
 #include "warp/ts/znorm.h"
 
 namespace warp {
@@ -138,12 +139,15 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Early-abandoning soundness across a grid of thresholds.
 
-using AbandonParam = std::tuple<size_t, double, uint64_t>;
+// (band, threshold scale, seed, SIMD mode): kOff runs the row engine, kOn
+// the anti-diagonal sweep at every band, narrow ones included.
+using AbandonParam = std::tuple<size_t, double, uint64_t, simd::SimdMode>;
 
 class AbandonPropertyTest : public ::testing::TestWithParam<AbandonParam> {};
 
 TEST_P(AbandonPropertyTest, AbandonImpliesDistanceAboveThreshold) {
-  const auto [band, threshold_scale, seed] = GetParam();
+  const auto [band, threshold_scale, seed, mode] = GetParam();
+  const simd::ScopedSimdMode scoped(mode);
   Rng rng(seed);
   for (int round = 0; round < 10; ++round) {
     const std::vector<double> x = ZNormalized(gen::RandomWalk(48, rng));
@@ -154,7 +158,7 @@ TEST_P(AbandonPropertyTest, AbandonImpliesDistanceAboveThreshold) {
     if (std::isinf(result)) {
       EXPECT_GT(exact, threshold);
     } else {
-      EXPECT_DOUBLE_EQ(result, exact);
+      EXPECT_EQ(result, exact);
     }
   }
 }
@@ -163,7 +167,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, AbandonPropertyTest,
     ::testing::Combine(::testing::Values<size_t>(0, 2, 8, 48),
                        ::testing::Values(0.25, 0.5, 0.9, 1.0, 1.1, 2.0),
-                       ::testing::Values<uint64_t>(404, 505)));
+                       ::testing::Values<uint64_t>(404, 505),
+                       ::testing::Values(simd::SimdMode::kOff,
+                                         simd::SimdMode::kOn)));
 
 }  // namespace
 }  // namespace warp

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "testing/reference_impls.h"
 #include "warp/common/metrics.h"
 #include "warp/gen/random_walk.h"
+#include "warp/simd/dispatch.h"
 
 namespace warp {
 namespace {
@@ -201,26 +204,45 @@ TEST(CdtwAbandoningTest, MuellerMatrixPinsWhereTheKernelAbandons) {
     uint64_t cells;
     uint64_t abandons;
   };
-  const Case cases[] = {
+  // The row engine tests each row's minimum.
+  const Case rows[] = {
       {6.5, kInf, 24, 1},   // Row 3's minimum 7 > 6.5: 4 rows of 6 cells.
       {7.0, kInf, 30, 1},   // Row 3 survives (7 is not > 7); row 4's 9 dies.
       {8.99, kInf, 30, 1},  // The same, just under the distance.
       {9.0, 9.0, 30, 0},    // 9 is not > 9: the exact distance.
   };
-  for (const Case& c : cases) {
-    const obs::MetricsSnapshot before = obs::SnapshotCounters();
-    const double d =
-        CdtwDistanceAbandoning(x, y, 6, c.bound, CostKind::kAbsolute);
-    const obs::MetricsSnapshot delta = obs::CountersSince(before);
-    EXPECT_EQ(d, c.distance) << "bound " << c.bound;
-    if (!obs::kProfilingEnabled) continue;
-    EXPECT_EQ(delta.values[static_cast<size_t>(obs::Counter::kDtwCells)],
-              c.cells)
-        << "bound " << c.bound;
-    EXPECT_EQ(
-        delta.values[static_cast<size_t>(obs::Counter::kDtwEarlyAbandons)],
-        c.abandons)
-        << "bound " << c.bound;
+  // The SIMD wavefront tests the anti-diagonal pair (d - 1, d) at
+  // d % 8 == 7; on this 5x6 matrix that is only the pair (6, 7), whose
+  // smallest cell is D(3, 3) = 7, after 27 of the 30 cells. The final pair
+  // (8, 9) is not a test point, so a bound in [7, 9) runs to the end.
+  const Case diagonals[] = {
+      {6.5, kInf, 27, 1},  // D(3, 3) = 7 > 6.5 kills the pair (6, 7).
+      {7.0, 9.0, 30, 0},   // 7 is not > 7; nothing is tested after d = 7.
+      {8.99, 9.0, 30, 0},  // The same: the exact distance comes back.
+      {9.0, 9.0, 30, 0},
+  };
+  const std::pair<simd::SimdMode, const Case*> engines[] = {
+      {simd::SimdMode::kOff, rows}, {simd::SimdMode::kOn, diagonals}};
+  for (const auto& [mode, cases] : engines) {
+    const simd::ScopedSimdMode scoped(mode);
+    for (size_t k = 0; k < 4; ++k) {
+      const Case& c = cases[k];
+      const obs::MetricsSnapshot before = obs::SnapshotCounters();
+      const double d =
+          CdtwDistanceAbandoning(x, y, 6, c.bound, CostKind::kAbsolute);
+      const obs::MetricsSnapshot delta = obs::CountersSince(before);
+      const std::string label = std::string(simd::SimdModeName(mode)) +
+                                " bound " + std::to_string(c.bound);
+      EXPECT_EQ(d, c.distance) << label;
+      if (!obs::kProfilingEnabled) continue;
+      EXPECT_EQ(delta.values[static_cast<size_t>(obs::Counter::kDtwCells)],
+                c.cells)
+          << label;
+      EXPECT_EQ(
+          delta.values[static_cast<size_t>(obs::Counter::kDtwEarlyAbandons)],
+          c.abandons)
+          << label;
+    }
   }
 }
 

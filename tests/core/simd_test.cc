@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,42 @@ TEST(VdoubleTest, AnyOutsideIsStrict) {
   for (size_t l = 0; l < simd::kLanes; ++l) mixed[l] = 0.0;
   mixed[simd::kLanes - 1] = 2.0;
   EXPECT_TRUE(AnyOutside(simd::vdouble::Load(mixed), lo, hi));
+}
+
+// SelectFirst is the abandoning sweep's mask for overhang lanes, which
+// hold garbage: every count, and one past kLanes, which keeps all of a.
+TEST(VdoubleTest, SelectFirstEveryCount) {
+  double a_mem[simd::kLanes];
+  for (size_t l = 0; l < simd::kLanes; ++l) {
+    a_mem[l] = 1.5 + static_cast<double>(l);
+  }
+  const simd::vdouble a = simd::vdouble::Load(a_mem);
+  const simd::vdouble b = simd::vdouble::Broadcast(-2.0);
+  for (size_t count = 0; count <= simd::kLanes + 1; ++count) {
+    const simd::vdouble r = SelectFirst(count, a, b);
+    for (size_t l = 0; l < simd::kLanes; ++l) {
+      EXPECT_EQ(r.Lane(l), l < count ? a_mem[l] : -2.0)
+          << "count=" << count << " lane=" << l;
+    }
+  }
+}
+
+// MinLane finds the smallest value in whichever lane holds it, among
+// finite and +inf lanes, signed zeros included.
+TEST(VdoubleTest, MinLaneFindsTheSmallestInEveryLane) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t at = 0; at < simd::kLanes; ++at) {
+    for (const double smallest : {-3.0, -0.0, 0.0, 1.25}) {
+      double mem[simd::kLanes];
+      for (size_t l = 0; l < simd::kLanes; ++l) {
+        mem[l] = l % 2 == 0 ? 2.0 + static_cast<double>(l) : kInf;
+      }
+      mem[at] = smallest;
+      EXPECT_EQ(MinLane(simd::vdouble::Load(mem)), smallest)
+          << "at=" << at << " smallest=" << smallest;
+    }
+  }
+  EXPECT_EQ(MinLane(simd::vdouble::Broadcast(kInf)), kInf);
 }
 
 // --------------------------------------------------------------------------
