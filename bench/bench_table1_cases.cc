@@ -25,7 +25,6 @@
 #include "warp/gen/gesture.h"
 #include "warp/gen/power_demand.h"
 #include "warp/obs/report.h"
-#include "warp/obs/trace.h"
 
 namespace warp {
 namespace bench {
@@ -90,41 +89,27 @@ int Main(int argc, char** argv) {
                       "FastDTW opt (ms)", "exact wins vs ref",
                       "vs opt"});
   for (const CaseSpec& spec : cases) {
-    obs::TraceSpan case_span(spec.name);
     DtwBuffer buffer;
     double checksum = 0.0;
     const std::string label(spec.name, 0, 1);  // Quadrant letter.
-    TimingSummary exact;
-    TimingSummary reference;
-    TimingSummary optimized;
-    {
-      obs::TraceSpan span("cdtw_w");
-      exact = report.MeasureCase(
-          label + "/cdtw_w",
-          [&] {
-            checksum += CdtwDistanceFraction(spec.x, spec.y,
-                                             spec.window_fraction,
-                                             CostKind::kSquared, &buffer);
-          },
-          reps);
-    }
-    {
-      obs::TraceSpan span("fastdtw_ref");
-      reference = report.MeasureCase(
-          label + "/fastdtw_ref",
-          [&] {
-            checksum +=
-                ReferenceFastDtw(spec.x, spec.y, spec.radius).distance;
-          },
-          std::max(1, reps / 5), 0);
-    }
-    {
-      obs::TraceSpan span("fastdtw_opt");
-      optimized = report.MeasureCase(
-          label + "/fastdtw_opt",
-          [&] { checksum += FastDtwDistance(spec.x, spec.y, spec.radius); },
-          reps);
-    }
+    const TimingSummary exact = report.MeasureCase(
+        label + "/cdtw_w",
+        [&] {
+          checksum += CdtwDistanceFraction(spec.x, spec.y,
+                                           spec.window_fraction,
+                                           CostKind::kSquared, &buffer);
+        },
+        reps);
+    const TimingSummary reference = report.MeasureCase(
+        label + "/fastdtw_ref",
+        [&] {
+          checksum += ReferenceFastDtw(spec.x, spec.y, spec.radius).distance;
+        },
+        std::max(1, reps / 5), 0);
+    const TimingSummary optimized = report.MeasureCase(
+        label + "/fastdtw_opt",
+        [&] { checksum += FastDtwDistance(spec.x, spec.y, spec.radius); },
+        reps);
     DoNotOptimize(checksum);
     table.AddRow(
         {spec.name, TablePrinter::FormatDouble(exact.mean_millis(), 2),

@@ -107,8 +107,6 @@ def validate_warp_bench_v1(report, source):
             fail(f"{source}: case '{case['name']}' missing 'histograms'")
         for name, histogram in case["histograms"].items():
             validate_histogram(name, histogram, source)
-    if "spans" in report and not isinstance(report["spans"], list):
-        fail(f"{source}: 'spans' must be an array")
     # The serving bench is the one case source whose histograms must be
     # populated (per-op latency + stage + work distributions) on a
     # profiling build — an empty set there means the serve path stopped

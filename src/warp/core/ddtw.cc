@@ -26,11 +26,4 @@ double DdtwDistance(std::span<const double> x, std::span<const double> y,
   return CdtwDistance(dx, dy, band, cost, workspace);
 }
 
-DtwResult Ddtw(std::span<const double> x, std::span<const double> y,
-               size_t band, CostKind cost) {
-  const std::vector<double> dx = DerivativeTransform(x);
-  const std::vector<double> dy = DerivativeTransform(y);
-  return Cdtw(dx, dy, band, cost);
-}
-
 }  // namespace warp

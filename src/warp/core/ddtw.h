@@ -29,11 +29,6 @@ double DdtwDistance(std::span<const double> x, std::span<const double> y,
                     size_t band, CostKind cost = CostKind::kSquared,
                     DtwWorkspace* workspace = nullptr);
 
-// Path-recovering variant. The path indexes the *original* series (the
-// transform is length-preserving).
-DtwResult Ddtw(std::span<const double> x, std::span<const double> y,
-               size_t band, CostKind cost = CostKind::kSquared);
-
 }  // namespace warp
 
 #endif  // WARP_CORE_DDTW_H_

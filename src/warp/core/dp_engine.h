@@ -7,7 +7,7 @@
 // kernel as a policy bundle over it:
 //
 //   * RowRange   — which columns row i visits (Sakoe–Chiba band, square
-//                  band, arbitrary WarpingWindow).
+//                  band).
 //   * Policy     — the recurrence itself: top-row boundary, per-row left
 //                  boundary, the cell combination, and the final readout.
 //   * kAbandoning — compile-time early-abandon row-minimum hook.
@@ -17,8 +17,7 @@
 // D(i, j); index 0 is the virtual D(i, -1)) and the carried left/diag
 // scalars that keep the serial dependency in registers. Every measure
 // enters through dp::BandedTwoRowEngine (an unconstrained measure passes
-// band max(n, m)); only WindowedDtwDistance calls dp::TwoRowEngine with
-// an arbitrary window.
+// band max(n, m)), the only caller of dp::TwoRowEngine.
 //
 // Scratch rows live in a DtwWorkspace. Reusing one across calls makes the
 // steady state allocation-free; every (re)allocation bumps the
@@ -195,14 +194,6 @@ inline BandRowRange MakeBandRowRange(size_t n, size_t m, size_t band) {
                       : 0.0;
   return range;
 }
-
-struct WindowRowRange {
-  const WarpingWindow* window;
-  std::pair<uint32_t, uint32_t> operator()(size_t i) const {
-    const WarpingWindow::ColRange& r = window->range(i);
-    return {r.lo, r.hi};
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Cell costs.
@@ -513,11 +504,11 @@ bool TryWavefront(size_t n, size_t m, size_t band, const Policy& policy,
 //
 // Buffer reuse needs no per-row reset. PrepareRows refills both rows with
 // +inf on every call, and row ranges are monotone: lo(i) and hi(i) never
-// decrease (SquareBandRowRange, BandRowRange, and WindowRowRange over a
-// canonical WarpingWindow). Row i reads prev[lo(i) .. hi(i)+1]. Row i-1
-// wrote prev[lo(i-1) .. hi(i-1)+1], and no earlier row of this call wrote
-// past hi(i-1)+1, so every slot row i reads is either row i-1's or still
-// +inf. tests/core/dp_engine_test.cc pins this with a poisoned workspace.
+// decrease (SquareBandRowRange and BandRowRange). Row i reads
+// prev[lo(i) .. hi(i)+1]. Row i-1 wrote prev[lo(i-1) .. hi(i-1)+1], and
+// no earlier row of this call wrote past hi(i-1)+1, so every slot row i
+// reads is either row i-1's or still +inf. tests/core/dp_engine_test.cc
+// pins this with a poisoned workspace.
 // An abandoning call stops once a row's minimum, plus the residual of the
 // columns past the row, exceeds `abandon_above`.
 template <bool kAbandoning, typename RowRangeFn, typename Policy>

@@ -106,21 +106,6 @@ DtwResult Cdtw(std::span<const double> x, std::span<const double> y,
 // ---------------------------------------------------------------------------
 // Arbitrary-window DTW.
 
-double WindowedDtwDistance(std::span<const double> x,
-                           std::span<const double> y,
-                           const WarpingWindow& window, CostKind cost,
-                           DtwWorkspace* buffer, uint64_t* cells) {
-  WARP_CHECK(!x.empty() && !y.empty());
-  WARP_CHECK(window.rows() == x.size() && window.cols() == y.size());
-  return WithCost(cost, [&](auto c) {
-    return dp::TwoRowEngine(
-        x.size(), y.size(), dp::WindowRowRange{&window},
-        dp::MinPlusPolicy<dp::SeriesCellCost<decltype(c)>>{
-            {x.data(), y.data(), c}},
-        kInf, buffer, DtwCounters(cells));
-  });
-}
-
 DtwResult WindowedDtw(std::span<const double> x, std::span<const double> y,
                       const WarpingWindow& window, CostKind cost) {
   WARP_CHECK(!x.empty() && !y.empty());
@@ -146,19 +131,6 @@ DtwResult WindowedDtw(std::span<const double> x, std::span<const double> y,
 #endif
     return result;
   });
-}
-
-double NormalizedCdtwDistance(std::span<const double> x,
-                              std::span<const double> y, size_t band,
-                              CostKind cost) {
-  const DtwResult result = Cdtw(x, y, band, cost);
-  return result.distance / static_cast<double>(result.path.size());
-}
-
-double NormalizedDtwDistance(std::span<const double> x,
-                             std::span<const double> y, CostKind cost) {
-  const DtwResult result = Dtw(x, y, cost);
-  return result.distance / static_cast<double>(result.path.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-// Exact Dynamic Time Warping: full, Sakoe–Chiba banded (cDTW_w), and
-// arbitrary-window variants, in distance-only and path-recovering forms.
+// Exact Dynamic Time Warping: full and Sakoe–Chiba banded (cDTW_w) in
+// distance-only and path-recovering forms, and the path-recovering
+// arbitrary-window variant.
 //
 // Terminology follows the paper:
 //   * DTW        — unconstrained ("Full") DTW; O(n*m) time.
@@ -102,32 +103,9 @@ DtwResult Cdtw(std::span<const double> x, std::span<const double> y,
 // Arbitrary-window DTW. The window must be valid (see WarpingWindow) and
 // shaped (x.size(), y.size()).
 
-double WindowedDtwDistance(std::span<const double> x,
-                           std::span<const double> y,
-                           const WarpingWindow& window,
-                           CostKind cost = CostKind::kSquared,
-                           DtwBuffer* buffer = nullptr,
-                           uint64_t* cells = nullptr);
-
 DtwResult WindowedDtw(std::span<const double> x, std::span<const double> y,
                       const WarpingWindow& window,
                       CostKind cost = CostKind::kSquared);
-
-// ---------------------------------------------------------------------------
-// Normalization helpers. DTW distances accumulate along paths of varying
-// length, so comparing distances across different-length pairs often
-// wants per-step normalization: distance / path length. These wrap the
-// path-recovering calls.
-
-// cDTW distance divided by the optimal path's length.
-double NormalizedCdtwDistance(std::span<const double> x,
-                              std::span<const double> y, size_t band,
-                              CostKind cost = CostKind::kSquared);
-
-// Full-DTW distance divided by the optimal path's length.
-double NormalizedDtwDistance(std::span<const double> x,
-                             std::span<const double> y,
-                             CostKind cost = CostKind::kSquared);
 
 // ---------------------------------------------------------------------------
 // Euclidean distance (= cDTW_0): the registry's `ed` and ADTW's omega

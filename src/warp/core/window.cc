@@ -40,42 +40,6 @@ WarpingWindow WarpingWindow::SakoeChiba(size_t n, size_t m, size_t band) {
   return window;
 }
 
-WarpingWindow WarpingWindow::SakoeChibaFraction(size_t n, size_t m,
-                                                double fraction) {
-  WARP_CHECK(fraction >= 0.0);
-  const size_t longest = std::max(n, m);
-  const size_t band = static_cast<size_t>(
-      std::llround(fraction * static_cast<double>(longest)));
-  return SakoeChiba(n, m, band);
-}
-
-WarpingWindow WarpingWindow::Itakura(size_t n, size_t m, double max_slope) {
-  WARP_CHECK(n > 0 && m > 0);
-  WARP_CHECK_MSG(max_slope > 1.0, "Itakura slope must exceed 1");
-  std::vector<ColRange> ranges(n);
-  const int64_t last_col = static_cast<int64_t>(m) - 1;
-  if (n == 1) {
-    ranges[0] = {0, U32(m - 1)};
-    return WarpingWindow(m, std::move(ranges));
-  }
-  const double s = max_slope;
-  for (size_t i = 0; i < n; ++i) {
-    const double u = static_cast<double>(i) / static_cast<double>(n - 1);
-    const double v_min = std::max(u / s, 1.0 - s * (1.0 - u));
-    const double v_max = std::min(s * u, 1.0 - (1.0 - u) / s);
-    int64_t lo = static_cast<int64_t>(
-        std::ceil(v_min * static_cast<double>(last_col) - 1e-9));
-    int64_t hi = static_cast<int64_t>(
-        std::floor(v_max * static_cast<double>(last_col) + 1e-9));
-    lo = std::clamp<int64_t>(lo, 0, last_col);
-    hi = std::clamp<int64_t>(hi, lo, last_col);
-    ranges[i] = {U32(static_cast<size_t>(lo)), U32(static_cast<size_t>(hi))};
-  }
-  WarpingWindow window(m, std::move(ranges));
-  window.Canonicalize();
-  return window;
-}
-
 WarpingWindow WarpingWindow::FromLowResPath(const WarpingPath& low_res_path,
                                             size_t n, size_t m,
                                             size_t radius) {

@@ -3,8 +3,6 @@
 // A window is stored as one inclusive column range per row. This covers
 // every constraint the paper discusses:
 //   * the Sakoe–Chiba band (cDTW_w) — the constraint the paper advocates,
-//   * the Itakura parallelogram (classic alternative, provided as an
-//     extension),
 //   * FastDTW's projected-path neighborhood (ExpandedResWindow).
 //
 // Invariants of a usable window (established by Canonicalize, verified by
@@ -45,13 +43,6 @@ class WarpingWindow {
   // lengths the band is centered on the straight line from (0,0) to
   // (n-1,m-1) and automatically widened enough to stay connected.
   static WarpingWindow SakoeChiba(size_t n, size_t m, size_t band);
-
-  // Band given as a fraction of the longer series length (the paper's w%).
-  static WarpingWindow SakoeChibaFraction(size_t n, size_t m,
-                                          double fraction);
-
-  // Itakura parallelogram with maximum local slope `max_slope` (> 1).
-  static WarpingWindow Itakura(size_t n, size_t m, double max_slope = 2.0);
 
   // FastDTW's ExpandedResWindow: projects a low-resolution warping path
   // (computed on the half-length series) up to full resolution, then

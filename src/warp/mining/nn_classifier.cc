@@ -122,16 +122,6 @@ Prediction ClassifyKnn(const Dataset& train, std::span<const double> query,
   return VoteFromKBest(kbest);
 }
 
-ClassificationStats EvaluateKnn(const Dataset& train, const Dataset& test,
-                                size_t k, const SeriesMeasure& measure,
-                                size_t threads) {
-  WARP_CHECK(!train.empty() && !test.empty());
-  return EvaluateQueries(test.size(), threads, [&](size_t i) {
-    return ClassifyKnn(train, test[i].view(), k, measure).label ==
-           test[i].label();
-  });
-}
-
 Prediction Classify1NnMulti(const std::vector<MultiSeries>& train,
                             const MultiSeries& query,
                             const MultiMeasure& measure) {

@@ -70,10 +70,6 @@ ClassificationStats Evaluate1Nn(const Dataset& train, const Dataset& test,
 Prediction ClassifyKnn(const Dataset& train, std::span<const double> query,
                        size_t k, const SeriesMeasure& measure);
 
-ClassificationStats EvaluateKnn(const Dataset& train, const Dataset& test,
-                                size_t k, const SeriesMeasure& measure,
-                                size_t threads = 1);
-
 // Multichannel variant (Appendix B).
 using MultiMeasure =
     std::function<double(const MultiSeries&, const MultiSeries&)>;

@@ -192,7 +192,7 @@ std::string BenchReport::HistogramTable() const {
   return any_row ? table.ToString() : "";
 }
 
-std::string BenchReport::ToJson(const std::vector<SpanRecord>& spans) const {
+std::string BenchReport::ToJson() const {
   JsonWriter writer;
   writer.BeginObject()
       .Key("schema")
@@ -247,32 +247,14 @@ std::string BenchReport::ToJson(const std::vector<SpanRecord>& spans) const {
   }
   writer.EndArray();
 
-  writer.Key("spans").BeginArray();
-  for (const SpanRecord& span : spans) {
-    writer.BeginObject()
-        .Key("path")
-        .String(span.path)
-        .Key("name")
-        .String(span.name)
-        .Key("depth")
-        .Uint(static_cast<uint64_t>(span.depth))
-        .Key("seconds")
-        .Double(span.seconds)
-        .Key("counters");
-    WriteCounterObject(writer, span.counters);
-    writer.EndObject();
-  }
-  writer.EndArray();
-
   writer.EndObject();
   return writer.TakeOutput();
 }
 
 void BenchReport::Finish(const std::string& json_path) const {
-  const std::vector<SpanRecord> spans = DrainSpans();
   if (json_path.empty()) return;
 
-  const std::string document = ToJson(spans);
+  const std::string document = ToJson();
   std::FILE* file = std::fopen(json_path.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "error: cannot open --json output file %s\n",

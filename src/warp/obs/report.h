@@ -24,7 +24,6 @@
 #include "warp/common/stopwatch.h"
 #include "warp/common/metrics.h"
 #include "warp/obs/histogram.h"
-#include "warp/obs/trace.h"
 
 namespace warp {
 namespace obs {
@@ -87,13 +86,11 @@ class BenchReport {
   std::string TimingTable() const;
   std::string HistogramTable() const;
 
-  // The full JSON document; `spans` (if any) are serialized under "spans".
-  std::string ToJson(const std::vector<SpanRecord>& spans = {}) const;
+  // The full JSON document.
+  std::string ToJson() const;
 
-  // Writes ToJson(DrainSpans()) to `path` when non-empty; prints the
-  // destination on success, prints the error and exits(1) on failure.
-  // With an empty path, drains spans and discards them (so a later
-  // report in the same process starts clean).
+  // Writes ToJson() to `path` when non-empty; prints the destination on
+  // success, prints the error and exits(1) on failure.
   void Finish(const std::string& json_path) const;
 
  private:

@@ -142,22 +142,12 @@ std::shared_ptr<const StoredDataset> DatasetStore::Get(
   return it == datasets_.end() ? nullptr : it->second;
 }
 
-bool DatasetStore::Drop(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return datasets_.erase(name) != 0;
-}
-
 std::vector<std::string> DatasetStore::Names() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
   names.reserve(datasets_.size());
   for (const auto& [name, dataset] : datasets_) names.push_back(name);
   return names;
-}
-
-uint64_t DatasetStore::CurrentEpoch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_epoch_;
 }
 
 }  // namespace serve

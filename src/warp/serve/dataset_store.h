@@ -177,16 +177,8 @@ class DatasetStore {
   // The current snapshot for `name`, or nullptr if unknown.
   std::shared_ptr<const StoredDataset> Get(const std::string& name) const;
 
-  // Removes `name`; returns false if it was not present. Outstanding
-  // snapshots stay valid.
-  bool Drop(const std::string& name);
-
   // Registered names in sorted order.
   std::vector<std::string> Names() const;
-
-  // The epoch the next registration will get (== number of registrations
-  // so far + 1).
-  uint64_t CurrentEpoch() const;
 
  private:
   const size_t shard_count_;

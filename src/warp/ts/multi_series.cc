@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "warp/common/assert.h"
-#include "warp/ts/znorm.h"
 
 namespace warp {
 
@@ -46,18 +45,6 @@ double MultiSeries::at(size_t c, size_t t) const {
 void MultiSeries::set(size_t c, size_t t, double value) {
   WARP_DCHECK(c < num_channels_ && t < length_);
   data_[c * length_ + t] = value;
-}
-
-void MultiSeries::Frame(size_t t, std::vector<double>& out) const {
-  WARP_CHECK(t < length_);
-  out.resize(num_channels_);
-  for (size_t c = 0; c < num_channels_; ++c) out[c] = at(c, t);
-}
-
-void MultiSeries::ZNormalizeChannels() {
-  for (size_t c = 0; c < num_channels_; ++c) {
-    ZNormalizeInPlace(mutable_channel(c));
-  }
 }
 
 }  // namespace warp

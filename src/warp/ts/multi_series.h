@@ -38,13 +38,6 @@ class MultiSeries {
   double at(size_t c, size_t t) const;
   void set(size_t c, size_t t, double value);
 
-  // The t-th frame as a stack-free accessor: returns value of channel c at
-  // time t for all channels via the out parameter.
-  void Frame(size_t t, std::vector<double>& out) const;
-
-  // Z-normalizes every channel independently, in place.
-  void ZNormalizeChannels();
-
  private:
   size_t num_channels_ = 0;
   size_t length_ = 0;

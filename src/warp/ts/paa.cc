@@ -67,12 +67,4 @@ std::vector<double> ResampleLinear(std::span<const double> values,
   return out;
 }
 
-std::vector<double> Downsample(std::span<const double> values, size_t factor) {
-  WARP_CHECK(factor > 0);
-  std::vector<double> out;
-  out.reserve((values.size() + factor - 1) / factor);
-  for (size_t i = 0; i < values.size(); i += factor) out.push_back(values[i]);
-  return out;
-}
-
 }  // namespace warp

@@ -28,9 +28,6 @@ std::vector<double> HalveByTwo(std::span<const double> values);
 std::vector<double> ResampleLinear(std::span<const double> values,
                                    size_t new_length);
 
-// Naive decimation: keep every `factor`-th sample, starting at index 0.
-std::vector<double> Downsample(std::span<const double> values, size_t factor);
-
 }  // namespace warp
 
 #endif  // WARP_TS_PAA_H_

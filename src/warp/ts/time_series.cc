@@ -7,15 +7,6 @@
 
 namespace warp {
 
-TimeSeries TimeSeries::Slice(size_t begin, size_t end) const {
-  WARP_CHECK(begin <= end && end <= values_.size());
-  TimeSeries out(std::vector<double>(values_.begin() + begin,
-                                     values_.begin() + end),
-                 label_);
-  out.set_name(name_);
-  return out;
-}
-
 double TimeSeries::Min() const {
   WARP_CHECK(!empty());
   return *std::min_element(values_.begin(), values_.end());
@@ -39,13 +30,6 @@ double TimeSeries::StdDev() const {
   double sum_sq = 0.0;
   for (double v : values_) sum_sq += (v - mean) * (v - mean);
   return std::sqrt(sum_sq / static_cast<double>(values_.size()));
-}
-
-bool TimeSeries::HasNonFinite() const {
-  for (double v : values_) {
-    if (!std::isfinite(v)) return true;
-  }
-  return false;
 }
 
 }  // namespace warp

@@ -44,18 +44,11 @@ class TimeSeries {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  // Copies the half-open index range [begin, end) into a new series with
-  // the same label.
-  TimeSeries Slice(size_t begin, size_t end) const;
-
   // Elementwise summary values. All require a non-empty series.
   double Min() const;
   double Max() const;
   double Mean() const;
   double StdDev() const;  // Population standard deviation.
-
-  // True if any value is NaN or infinite.
-  bool HasNonFinite() const;
 
  private:
   std::vector<double> values_;

@@ -4,7 +4,8 @@
 // `shards_missing` instead of hanging or crashing, (b) fails
 // dist/subsequence queries whose owning shard is the dead one with a
 // clear error, and (c) returns to answers bitwise-identical to the
-// single-process golden once the supervisor restarts the worker.
+// single-process golden once the supervisor restarts the worker. A
+// SIGSTOPped (wedged) worker is caught by the liveness ping instead.
 
 #include <csignal>
 #include <cstdint>
@@ -237,6 +238,46 @@ TEST(FailoverTest, KilledWorkerDegradesThenRecoversBitwise) {
   conn.Close();
   router.RequestShutdown();
   router_thread.join();
+  supervisor.Stop();
+}
+
+// A stopped worker still accepts connections, because the kernel
+// completes them, but it never replies: no reap sees it, only the ping
+// times out. No query is sent while it is stopped, since the router
+// would wait out its gather timeout for the missing reply.
+TEST(FailoverTest, WedgedWorkerIsReplacedByTheLivenessPing) {
+  SupervisorOptions sup;
+  sup.shards = kShards;
+  sup.worker_binary = WARP_SERVE_PATH;
+  sup.snapshot_dir = SnapshotDirOnce();
+  sup.restart_backoff_ms = 50;
+  sup.ping_interval_ms = 100;
+  sup.ping_timeout_ms = 300;
+  Supervisor supervisor(sup);
+  std::string error;
+  ASSERT_TRUE(supervisor.Start(&error)) << error;
+
+  const size_t victim_shard = 0;
+  const long wedged_pid = supervisor.worker_pid(victim_shard);
+  ASSERT_GT(wedged_pid, 0);
+  ASSERT_TRUE(SendSignal(wedged_pid, SIGSTOP));
+
+  WorkerStatus status = supervisor.Status(victim_shard);
+  const Stopwatch waited;
+  while (!(status.up && status.generation >= 2 && status.restarts >= 1 &&
+           status.pid != wedged_pid) &&
+         waited.ElapsedMillis() < 10000) {
+    SleepMillis(20);
+    status = supervisor.Status(victim_shard);
+  }
+  EXPECT_TRUE(status.up) << "wedged worker never replaced";
+  EXPECT_GE(status.generation, 2u);
+  EXPECT_GE(status.restarts, 1u);
+  EXPECT_NE(status.pid, wedged_pid);
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    if (shard == victim_shard) continue;
+    EXPECT_EQ(supervisor.Status(shard).generation, 1u) << "shard " << shard;
+  }
   supervisor.Stop();
 }
 

@@ -51,13 +51,5 @@ TEST(DdtwTest, AgreesWithDtwOnTransformedSeries) {
       CdtwDistance(DerivativeTransform(x), DerivativeTransform(y), 7));
 }
 
-TEST(DdtwTest, PathIsValidOnOriginalIndices) {
-  Rng rng(143);
-  const std::vector<double> x = gen::RandomWalk(40, rng);
-  const std::vector<double> y = gen::RandomWalk(45, rng);
-  const DtwResult result = Ddtw(x, y, 10);
-  EXPECT_TRUE(result.path.IsValid(x.size(), y.size()));
-}
-
 }  // namespace
 }  // namespace warp

@@ -29,7 +29,6 @@
 #include "warp/core/fastdtw_reference.h"
 #include "warp/core/measure.h"
 #include "warp/core/wdtw.h"
-#include "warp/core/window.h"
 #include "warp/ts/multi_series.h"
 
 namespace warp {
@@ -188,9 +187,6 @@ TEST(GoldenMeasuresTest, KernelPins) {
   EXPECT_EQ(WdtwDistance(s[0], s[1], 0.05, 64), 0x1.2d82e228b8e1cp+6);
   EXPECT_EQ(LcssLength(s[0], s[1], 0.1, kBand64), 10u);
 
-  const WarpingWindow itakura = WarpingWindow::Itakura(64, 64, 2.0);
-  EXPECT_EQ(WindowedDtwDistance(s[0], s[1], itakura),
-            0x1.bd5c7ac7b6ccp+8);
   EXPECT_EQ(CdtwDistance(s[0], s[1], kBand64, CostKind::kAbsolute),
             0x1.f07765c1102adp+6);
 

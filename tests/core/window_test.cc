@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "warp/core/dtw.h"
-#include "warp/gen/random_walk.h"
-
 namespace warp {
 namespace {
 
@@ -58,36 +55,6 @@ TEST(WindowTest, SakoeChibaUnequalLengthsStaysValid) {
       }
     }
   }
-}
-
-TEST(WindowTest, SakoeChibaFractionMatchesCells) {
-  const WarpingWindow by_fraction =
-      WarpingWindow::SakoeChibaFraction(100, 100, 0.05);
-  const WarpingWindow by_cells = WarpingWindow::SakoeChiba(100, 100, 5);
-  ASSERT_EQ(by_fraction.rows(), by_cells.rows());
-  for (size_t i = 0; i < by_fraction.rows(); ++i) {
-    EXPECT_EQ(by_fraction.range(i), by_cells.range(i));
-  }
-}
-
-TEST(WindowTest, ItakuraIsValidAndDiamondShaped) {
-  const WarpingWindow window = WarpingWindow::Itakura(51, 51, 2.0);
-  EXPECT_TRUE(window.IsValid());
-  // Pinched at the ends, widest in the middle.
-  const auto mid = window.range(25);
-  EXPECT_LT(window.range(1).hi - window.range(1).lo, mid.hi - mid.lo);
-  EXPECT_LT(window.range(49).hi - window.range(49).lo, mid.hi - mid.lo);
-  // The corners of the matrix are excluded (unlike Sakoe–Chiba).
-  EXPECT_FALSE(window.Contains(0, 25));
-  EXPECT_FALSE(window.Contains(50, 25));
-}
-
-TEST(WindowTest, ItakuraDtwAtLeastUnconstrained) {
-  Rng rng(31);
-  const std::vector<double> x = gen::RandomWalk(60, rng);
-  const std::vector<double> y = gen::RandomWalk(60, rng);
-  const WarpingWindow window = WarpingWindow::Itakura(60, 60, 2.0);
-  EXPECT_GE(WindowedDtwDistance(x, y, window), DtwDistance(x, y) - 1e-12);
 }
 
 TEST(WindowTest, FromLowResPathCoversProjectedPath) {

@@ -194,21 +194,6 @@ TEST(FallTest, AlignmentRequiresNearFullWarping) {
   EXPECT_GT(narrow, full * 5.0);
 }
 
-TEST(NormalizedDtwTest, PerStepNormalizationBounds) {
-  // Normalized distance <= raw distance (path length >= 1) and equals
-  // raw / path-length exactly.
-  Rng rng(301);
-  const std::vector<double> x = RandomWalk(60, rng);
-  const std::vector<double> y = RandomWalk(70, rng);
-  const DtwResult full = Dtw(x, y);
-  EXPECT_NEAR(NormalizedDtwDistance(x, y),
-              full.distance / static_cast<double>(full.path.size()), 1e-12);
-  const DtwResult banded = Cdtw(x, y, 10);
-  EXPECT_NEAR(NormalizedCdtwDistance(x, y, 10),
-              banded.distance / static_cast<double>(banded.path.size()),
-              1e-12);
-}
-
 TEST(AdversarialTest, BurstVanishesUnderHalving) {
   const AdversarialTriple triple = MakeAdversarialTriple();
   const std::vector<double> halved = HalveByTwo(triple.a);

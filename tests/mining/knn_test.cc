@@ -93,18 +93,5 @@ TEST(KnnTest, AcceleratedKnnStillPrunes) {
             0u);
 }
 
-TEST(KnnTest, EvaluateKnnCountsCorrectly) {
-  gen::GestureOptions options;
-  options.length = 48;
-  options.num_classes = 2;
-  options.seed = 274;
-  const Dataset pool = gen::MakeGestureDataset(8, options);
-  const auto [train, test] = pool.StratifiedSplit(0.5);
-  const ClassificationStats stats =
-      EvaluateKnn(train, test, 3, CdtwMeasure(4));
-  EXPECT_EQ(stats.total, test.size());
-  EXPECT_GE(stats.accuracy, 0.5);
-}
-
 }  // namespace
 }  // namespace warp

@@ -94,19 +94,6 @@ TEST(ParallelDeterminismTest, Evaluate1NnCountsEqualAtAnyThreadCount) {
   }
 }
 
-TEST(ParallelDeterminismTest, EvaluateKnnCountsEqualAtAnyThreadCount) {
-  const Dataset data = gen::MakeGestureDataset(8, SmallOptions());
-  const auto [train, test] = data.StratifiedSplit(0.5);
-  const SeriesMeasure measure = CdtwMeasure(6);
-  const ClassificationStats serial = EvaluateKnn(train, test, 3, measure);
-  for (const size_t threads : kThreadCounts) {
-    const ClassificationStats parallel =
-        EvaluateKnn(train, test, 3, measure, threads);
-    EXPECT_EQ(parallel.correct, serial.correct) << "threads=" << threads;
-    EXPECT_EQ(parallel.total, serial.total) << "threads=" << threads;
-  }
-}
-
 TEST(ParallelDeterminismTest, AcceleratedCascadeStatsSumIdentically) {
   const Dataset data = gen::MakeGestureDataset(10, SmallOptions());
   const auto [train, test] = data.StratifiedSplit(0.5);

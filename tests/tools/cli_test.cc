@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "warp/common/metrics.h"
 #include "warp/core/measure.h"
 #include "warp/gen/gesture.h"
 #include "warp/serve/wire.h"
@@ -163,6 +165,26 @@ TEST_F(CliTest, DistWithPathEmitsMonotonePath) {
   EXPECT_GE(rows, 7);
   EXPECT_EQ(prev_i, 6);
   EXPECT_EQ(prev_j, 6);
+}
+
+TEST_F(CliTest, DistProfilePrintsWorkCounters) {
+  // --profile writes to stderr, which RunCommand discards.
+  const std::string profile_path = dir_ + "/profile.txt";
+  const std::string command = std::string(WARP_CLI_PATH) + " dist " + dir_ +
+                              "/a.txt " + dir_ + "/b.txt --profile" +
+                              " >/dev/null 2>" + profile_path;
+  const int status = std::system(command.c_str());
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream in(profile_path);
+  std::ostringstream profile;
+  profile << in.rdbuf();
+  const std::string text = profile.str();
+  EXPECT_NE(text.find("# --- work counters (WARP_PROFILE) ---\n"),
+            std::string::npos)
+      << text;
+  const std::string expected =
+      obs::kProfilingEnabled ? "# dtw_cells " : "# counters disabled";
+  EXPECT_NE(text.find(expected), std::string::npos) << text;
 }
 
 TEST_F(CliTest, ClassifyReportsAccuracy) {

@@ -86,11 +86,5 @@ TEST(ResampleLinearTest, SinglePointExpands) {
   EXPECT_EQ(ResampleLinear(x, 4), (std::vector<double>{7.0, 7.0, 7.0, 7.0}));
 }
 
-TEST(DownsampleTest, KeepsEveryKth) {
-  const std::vector<double> x = {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  EXPECT_EQ(Downsample(x, 3), (std::vector<double>{0.0, 3.0, 6.0}));
-  EXPECT_EQ(Downsample(x, 1), x);
-}
-
 }  // namespace
 }  // namespace warp

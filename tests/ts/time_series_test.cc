@@ -3,7 +3,6 @@
 #include "warp/ts/time_series.h"
 
 #include <cmath>
-#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -28,30 +27,12 @@ TEST(TimeSeriesTest, DefaultIsUnlabeledAndEmpty) {
   EXPECT_EQ(series.label(), TimeSeries::kUnlabeled);
 }
 
-TEST(TimeSeriesTest, SliceCopiesRangeAndMetadata) {
-  TimeSeries series({0.0, 1.0, 2.0, 3.0, 4.0}, 2);
-  series.set_name("demo");
-  const TimeSeries slice = series.Slice(1, 4);
-  EXPECT_EQ(slice.values(), (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(slice.label(), 2);
-  EXPECT_EQ(slice.name(), "demo");
-}
-
 TEST(TimeSeriesTest, SummaryStatistics) {
   const TimeSeries series({1.0, 5.0, 3.0});
   EXPECT_DOUBLE_EQ(series.Min(), 1.0);
   EXPECT_DOUBLE_EQ(series.Max(), 5.0);
   EXPECT_DOUBLE_EQ(series.Mean(), 3.0);
   EXPECT_NEAR(series.StdDev(), std::sqrt(8.0 / 3.0), 1e-12);
-}
-
-TEST(TimeSeriesTest, DetectsNonFinite) {
-  EXPECT_FALSE(TimeSeries({1.0, 2.0}).HasNonFinite());
-  EXPECT_TRUE(
-      TimeSeries({1.0, std::numeric_limits<double>::quiet_NaN()})
-          .HasNonFinite());
-  EXPECT_TRUE(
-      TimeSeries({std::numeric_limits<double>::infinity()}).HasNonFinite());
 }
 
 TEST(MultiSeriesTest, ChannelMajorStorage) {
@@ -65,24 +46,6 @@ TEST(MultiSeriesTest, ChannelMajorStorage) {
   EXPECT_DOUBLE_EQ(series.at(1, 0), 3.0);
   const std::span<const double> channel1 = series.channel(1);
   EXPECT_DOUBLE_EQ(channel1[1], 4.0);
-}
-
-TEST(MultiSeriesTest, FrameGathersAcrossChannels) {
-  MultiSeries series(
-      std::vector<std::vector<double>>{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
-  std::vector<double> frame;
-  series.Frame(1, frame);
-  EXPECT_EQ(frame, (std::vector<double>{2.0, 4.0, 6.0}));
-}
-
-TEST(MultiSeriesTest, ZNormalizePerChannel) {
-  MultiSeries series(
-      std::vector<std::vector<double>>{{0.0, 2.0}, {10.0, 30.0}});
-  series.ZNormalizeChannels();
-  EXPECT_DOUBLE_EQ(series.at(0, 0), -1.0);
-  EXPECT_DOUBLE_EQ(series.at(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(series.at(1, 0), -1.0);
-  EXPECT_DOUBLE_EQ(series.at(1, 1), 1.0);
 }
 
 TEST(MultiSeriesTest, SetWritesThrough) {

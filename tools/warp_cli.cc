@@ -36,7 +36,6 @@
 #include "warp/mining/window_search.h"
 #include "warp/obs/histogram.h"
 #include "warp/obs/json_writer.h"
-#include "warp/obs/trace.h"
 #include "warp/common/metrics.h"
 #include "warp/serve/net.h"
 #include "warp/simd/dispatch.h"
@@ -465,12 +464,11 @@ int CmdQuery(Flags& flags) {
   return 0;
 }
 
-// Prints every nonzero work counter, every nonempty histogram, and every
-// completed trace span accumulated during the command — one stderr block
-// so a `2>profile.txt` redirect captures the whole picture.
+// Prints every nonzero work counter and every nonempty histogram
+// accumulated during the command — one stderr block so a
+// `2>profile.txt` redirect captures the whole picture.
 void PrintProfile(const obs::MetricsSnapshot& delta,
-                  const obs::HistogramSnapshot& histograms,
-                  const std::vector<obs::SpanRecord>& spans) {
+                  const obs::HistogramSnapshot& histograms) {
   std::fprintf(stderr, "# --- work counters (WARP_PROFILE) ---\n");
   if (!obs::kProfilingEnabled) {
     std::fprintf(stderr,
@@ -496,11 +494,6 @@ void PrintProfile(const obs::MetricsSnapshot& delta,
                  static_cast<unsigned long long>(data.Percentile(0.50)),
                  static_cast<unsigned long long>(data.Percentile(0.95)),
                  static_cast<unsigned long long>(data.Percentile(0.99)));
-  }
-  for (const obs::SpanRecord& span : spans) {
-    std::fprintf(stderr, "# span %*s%-24s %.3f ms\n",
-                 static_cast<int>(2 * span.depth), "", span.name.c_str(),
-                 span.seconds * 1e3);
   }
 }
 
@@ -536,7 +529,7 @@ int Main(int argc, char** argv) {
   else Fail("unknown command: " + command + " (try `warp_cli help`)");
   if (profile) {
     PrintProfile(obs::CountersSince(before),
-                 obs::HistogramsSince(histograms_before), obs::DrainSpans());
+                 obs::HistogramsSince(histograms_before));
   }
   return status;
 }
