@@ -7,7 +7,8 @@
 //   B. LB_Keogh vs LB_Improved: tightness vs cost per candidate.
 //   C. Does DtwBuffer reuse matter in tight loops?
 //   D. What does the square-band integer fast path buy over the
-//      generalized scaled-diagonal ranges?
+//      generalized scaled-diagonal ranges? Both run on the row engine,
+//      at bands 6 and 94.
 //
 // Flags: --length (315), --train (64), --test (32), --band-percent (10),
 //        --reps (200), --json=<path>.
@@ -28,6 +29,7 @@
 #include "warp/gen/random_walk.h"
 #include "warp/common/metrics.h"
 #include "warp/obs/report.h"
+#include "warp/simd/dispatch.h"
 
 namespace warp {
 namespace bench {
@@ -257,29 +259,40 @@ int Main(int argc, char** argv) {
               100.0 * (no_reuse_seconds - reuse_seconds) / no_reuse_seconds);
 
   // --- D: square fast path ----------------------------------------------------
+  // The unequal-length call always takes the row engine; with SIMD on, a
+  // wide enough square band takes the anti-diagonal wavefront instead, so
+  // SIMD is off here to compare the two row ranges alone. Band 6 (widest
+  // diagonal 13, below simd::kWavefrontAutoMinWidth) is where square
+  // inputs stay on the row engine in auto mode too.
   const std::vector<double> y_off = gen::RandomWalk(944, rng);
-  before = obs::SnapshotCounters();
-  Stopwatch square;
-  for (int r = 0; r < reps; ++r) {
-    checksum += CdtwDistance(x, y, 94, CostKind::kSquared, &buffer);
+  const simd::ScopedSimdMode row_engine(simd::SimdMode::kOff);
+  std::printf("D. band ranges at N=945 on the row engine (%d calls each):\n",
+              reps);
+  for (const size_t band : {size_t{6}, size_t{94}}) {
+    const std::string suffix = "_w" + std::to_string(band);
+    before = obs::SnapshotCounters();
+    Stopwatch square;
+    for (int r = 0; r < reps; ++r) {
+      checksum += CdtwDistance(x, y, band, CostKind::kSquared, &buffer);
+    }
+    const double square_seconds = square.ElapsedSeconds();
+    report.AddCase("band_square" + suffix, SummarizeSamples({square_seconds}),
+                   obs::CountersSince(before));
+    before = obs::SnapshotCounters();
+    Stopwatch general;
+    for (int r = 0; r < reps; ++r) {
+      checksum += CdtwDistance(x, y_off, band, CostKind::kSquared, &buffer);
+    }
+    const double general_seconds = general.ElapsedSeconds();
+    report.AddCase("band_general" + suffix,
+                   SummarizeSamples({general_seconds}),
+                   obs::CountersSince(before));
+    std::printf("   band %3zu: square integer fast path %.1f ms vs "
+                "generalized scaled-diagonal %.1f ms (%+.0f%%)\n",
+                band, square_seconds * 1e3, general_seconds * 1e3,
+                100.0 * (general_seconds - square_seconds) / square_seconds);
   }
-  const double square_seconds = square.ElapsedSeconds();
-  report.AddCase("band_square", SummarizeSamples({square_seconds}),
-                 obs::CountersSince(before));
-  before = obs::SnapshotCounters();
-  Stopwatch general;
-  for (int r = 0; r < reps; ++r) {
-    checksum += CdtwDistance(x, y_off, 94, CostKind::kSquared, &buffer);
-  }
-  const double general_seconds = general.ElapsedSeconds();
-  report.AddCase("band_general", SummarizeSamples({general_seconds}),
-                 obs::CountersSince(before));
   DoNotOptimize(checksum);
-  std::printf("D. band ranges at N=945, w=10%% (%d calls): square integer "
-              "fast path %.1f ms vs generalized scaled-diagonal %.1f ms "
-              "(%+.0f%%)\n",
-              reps, square_seconds * 1e3, general_seconds * 1e3,
-              100.0 * (general_seconds - square_seconds) / square_seconds);
   report.Finish(json_path);
   return 0;
 }

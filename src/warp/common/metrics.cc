@@ -36,7 +36,7 @@ Registry& GlobalRegistry() {
 
 namespace internal {
 
-thread_local CounterSlab* local_slab = nullptr;
+constinit thread_local CounterSlab* local_slab = nullptr;
 
 CounterSlab* RegisterLocalSlab() {
   // Leaked on purpose: snapshots taken after this thread exits must still

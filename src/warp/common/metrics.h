@@ -16,13 +16,11 @@
 //   * SnapshotCounters() merges the slabs by unsigned 64-bit addition,
 //     which is order-independent, so merged totals are bitwise-stable at
 //     any thread count and across runs.
-//   * With the CMake option WARP_PROFILE=OFF every WARP_COUNT[_ADD] site
-//     collapses to an empty inline function whose (side-effect-free)
-//     arguments are dead code — the instrumented kernels compile to the
-//     same hot-loop code as before instrumentation.
+//   * Counters are always compiled in. Kernels bump them once per call or
+//     per row, never per DP cell, so the cost stays far below bench noise.
 //
 // Counting never changes algorithm results: outputs are bitwise identical
-// with profiling on, off, and at 1/2/8 threads (tests/obs/metrics_test.cc).
+// at 1/2/8 threads (tests/obs/metrics_test.cc).
 //
 // Layering note: this file lives in warp/common/ (not warp/obs/) because
 // the counter slab is layer-0 infrastructure — the thread pool in
@@ -38,12 +36,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-
-// Defined (to 0 or 1) by CMake via the WARP_PROFILE option; default on for
-// builds that bypass CMake so counters are never silently missing.
-#ifndef WARP_PROFILE_ENABLED
-#define WARP_PROFILE_ENABLED 1
-#endif
 
 namespace warp {
 namespace obs {
@@ -112,7 +104,6 @@ enum class Counter : uint32_t {
 
 inline constexpr size_t kNumCounters =
     static_cast<size_t>(Counter::kNumCounters);
-inline constexpr bool kProfilingEnabled = WARP_PROFILE_ENABLED != 0;
 
 // The stable JSON/report name of a counter.
 const char* CounterName(Counter counter);
@@ -129,10 +120,11 @@ namespace internal {
 // Registers (once) and returns the calling thread's slab. Slabs are never
 // unregistered: a finished thread's totals remain visible to snapshots.
 CounterSlab* RegisterLocalSlab();
-extern thread_local CounterSlab* local_slab;
+// constinit: the pointer is constant-initialised, so a count site reads it
+// without first checking for (and calling) a TLS init function.
+extern constinit thread_local CounterSlab* local_slab;
 }  // namespace internal
 
-#if WARP_PROFILE_ENABLED
 inline void AddCount(Counter counter, uint64_t amount) {
   CounterSlab* slab = internal::local_slab;
   if (slab == nullptr) slab = internal::RegisterLocalSlab();
@@ -141,9 +133,9 @@ inline void AddCount(Counter counter, uint64_t amount) {
              std::memory_order_relaxed);
 }
 // The calling thread's own running total for `counter` (0 if this thread
-// never counted, or with profiling off). One relaxed load — cheap enough
-// to difference around a work chunk and attribute the delta to a request
-// (the serving engine's cells-per-query histogram does exactly that).
+// never counted). One relaxed load — cheap enough to difference around a
+// work chunk and attribute the delta to a request (the serving engine's
+// cells-per-query histogram does exactly that).
 inline uint64_t LocalCount(Counter counter) {
   const CounterSlab* slab = internal::local_slab;
   return slab == nullptr
@@ -151,10 +143,6 @@ inline uint64_t LocalCount(Counter counter) {
              : slab->values[static_cast<size_t>(counter)].load(
                    std::memory_order_relaxed);
 }
-#else
-inline void AddCount(Counter /*counter*/, uint64_t /*amount*/) {}
-inline uint64_t LocalCount(Counter /*counter*/) { return 0; }
-#endif
 
 // A merged, immutable view of all counters at one instant.
 struct MetricsSnapshot {
@@ -184,9 +172,7 @@ void ResetCounters();
 }  // namespace obs
 }  // namespace warp
 
-// Instrumentation entry points. `amount` must be side-effect free: with
-// WARP_PROFILE=OFF the call is an empty inline function and the argument
-// computation is dead code the optimizer removes.
+// Instrumentation entry points.
 #define WARP_COUNT_ADD(counter, amount) \
   ::warp::obs::AddCount((counter), static_cast<uint64_t>(amount))
 #define WARP_COUNT(counter) WARP_COUNT_ADD(counter, 1)

@@ -69,18 +69,12 @@ void ThreadPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mutex_);
       // Idle time between tasks, attributed per worker thread. Waits that
       // end in shutdown are not counted — only waits a task resolves, so
-      // the total reflects queue starvation during real work. Clock reads
-      // cannot be optimized out, so the whole probe is compiled away when
-      // profiling is off (WARP_COUNT alone would not remove the now()).
-#if WARP_PROFILE_ENABLED
+      // the total reflects queue starvation during real work.
       Stopwatch wait_watch;
-#endif
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to run.
-#if WARP_PROFILE_ENABLED
       WARP_COUNT_ADD(obs::Counter::kPoolQueueWaitNanos,
                      wait_watch.ElapsedSeconds() * 1e9);
-#endif
       task = std::move(queue_.front());
       queue_.pop_front();
     }

@@ -170,16 +170,4 @@ bool WarpingWindow::Validate(std::string* error) const {
   return true;
 }
 
-size_t WarpingWindow::MaxDiagonalDeviation() const {
-  size_t max_dev = 0;
-  for (size_t i = 0; i < ranges_.size(); ++i) {
-    const size_t below =
-        i > ranges_[i].lo ? i - ranges_[i].lo : ranges_[i].lo - i;
-    const size_t above =
-        ranges_[i].hi > i ? ranges_[i].hi - i : i - ranges_[i].hi;
-    max_dev = std::max({max_dev, below, above});
-  }
-  return max_dev;
-}
-
 }  // namespace warp

@@ -71,10 +71,6 @@ class WarpingWindow {
   bool IsValid() const;
   bool Validate(std::string* error) const;
 
-  // The smallest Sakoe–Chiba band (for the same shape) containing this
-  // window; used in tests and diagnostics.
-  size_t MaxDiagonalDeviation() const;
-
  private:
   WarpingWindow(size_t cols, std::vector<ColRange> ranges)
       : cols_(cols), ranges_(std::move(ranges)) {}

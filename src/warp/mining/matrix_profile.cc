@@ -86,23 +86,6 @@ MatrixProfile ComputeMatrixProfile(std::span<const double> series, size_t m) {
   return result;
 }
 
-ProfileMotif TopMotif(const MatrixProfile& profile) {
-  WARP_CHECK(!profile.profile.empty());
-  ProfileMotif motif;
-  motif.distance = kInf;
-  for (size_t i = 0; i < profile.size(); ++i) {
-    if (profile.profile[i] < motif.distance) {
-      motif.distance = profile.profile[i];
-      motif.position_a = i;
-      motif.position_b = profile.index[i];
-    }
-  }
-  if (motif.position_a > motif.position_b) {
-    std::swap(motif.position_a, motif.position_b);
-  }
-  return motif;
-}
-
 ProfileDiscord TopDiscord(const MatrixProfile& profile) {
   WARP_CHECK(!profile.profile.empty());
   ProfileDiscord discord;

@@ -35,19 +35,12 @@ struct MatrixProfile {
 // so at least one non-excluded pair exists.
 MatrixProfile ComputeMatrixProfile(std::span<const double> series, size_t m);
 
-// Convenience extractors. Positions are window starts.
-struct ProfileMotif {
-  size_t position_a = 0;
-  size_t position_b = 0;
-  double distance = 0.0;  // Squared z-normalized ED.
-};
-
+// Convenience extractor. The position is a window start.
 struct ProfileDiscord {
   size_t position = 0;
   double nn_distance = 0.0;
 };
 
-ProfileMotif TopMotif(const MatrixProfile& profile);
 ProfileDiscord TopDiscord(const MatrixProfile& profile);
 
 }  // namespace warp

@@ -44,7 +44,7 @@ Registry& GlobalRegistry() {
 
 namespace internal {
 
-thread_local HistogramSlab* local_histogram_slab = nullptr;
+constinit thread_local HistogramSlab* local_histogram_slab = nullptr;
 
 HistogramSlab* RegisterLocalHistogramSlab() {
   // Leaked on purpose: snapshots taken after this thread exits must
@@ -83,13 +83,6 @@ uint64_t HistogramData::Percentile(double q) const {
     if (cumulative >= rank) return HistogramBucketBound(i);
   }
   return HistogramBucketBound(kHistogramBuckets - 1);
-}
-
-bool HistogramSnapshot::AllEmpty() const {
-  for (const HistogramData& data : series) {
-    if (!data.Empty()) return false;
-  }
-  return true;
 }
 
 HistogramSnapshot operator-(const HistogramSnapshot& a,

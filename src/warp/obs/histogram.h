@@ -18,10 +18,8 @@
 //     fetch_adds on one global atomic, so the settled value is
 //     deterministic even though intermediate readings race by nature.
 //
-// With WARP_PROFILE=OFF every Record/GaugeAdd site collapses to an empty
-// inline function (dead-code arguments), matching the WARP_COUNT
-// contract: serving results are bitwise identical with profiling on,
-// off, and at any thread count (tests/serve/stats_golden_test.cc).
+// Recording never changes serving results: they are bitwise identical
+// at any thread count (tests/serve/stats_golden_test.cc).
 //
 // Percentiles are computed from the buckets at snapshot time: pNN is the
 // upper bound of the bucket containing the NN-th percentile rank. That
@@ -36,8 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-
-#include "warp/common/metrics.h"  // WARP_PROFILE_ENABLED / kProfilingEnabled
 
 namespace warp {
 namespace obs {
@@ -133,7 +129,9 @@ namespace internal {
 // Registers (once) and returns the calling thread's histogram slab.
 // Never unregistered, same rationale as the counter slabs.
 HistogramSlab* RegisterLocalHistogramSlab();
-extern thread_local HistogramSlab* local_histogram_slab;
+// constinit for the same reason as metrics.h's local_slab: no TLS init
+// check at a record site.
+extern constinit thread_local HistogramSlab* local_histogram_slab;
 
 // The global gauge cells (one atomic per gauge, zero-initialized).
 std::atomic<int64_t>& GaugeCell(Gauge gauge);
@@ -149,7 +147,6 @@ inline void BumpSeries(HistogramSlab::Series& series, uint64_t value) {
 }
 }  // namespace internal
 
-#if WARP_PROFILE_ENABLED
 inline void RecordValue(Histogram histogram, uint64_t value) {
   HistogramSlab* slab = internal::local_histogram_slab;
   if (slab == nullptr) slab = internal::RegisterLocalHistogramSlab();
@@ -161,11 +158,6 @@ inline void GaugeAdd(Gauge gauge, int64_t delta) {
 inline int64_t GaugeValue(Gauge gauge) {
   return internal::GaugeCell(gauge).load(std::memory_order_relaxed);
 }
-#else
-inline void RecordValue(Histogram /*histogram*/, uint64_t /*value*/) {}
-inline void GaugeAdd(Gauge /*gauge*/, int64_t /*delta*/) {}
-inline int64_t GaugeValue(Gauge /*gauge*/) { return 0; }
-#endif
 
 // Microsecond convenience for stage timings: negative and NaN inputs
 // clamp to zero, fractional microseconds round down.
@@ -197,7 +189,6 @@ struct HistogramSnapshot {
   const HistogramData& Get(Histogram histogram) const {
     return series[static_cast<size_t>(histogram)];
   }
-  bool AllEmpty() const;
 };
 
 // Per-field difference a - b, saturating at zero (all fields are
@@ -232,9 +223,7 @@ GaugeSnapshot SnapshotGauges();
 }  // namespace obs
 }  // namespace warp
 
-// Instrumentation entry points, mirroring WARP_COUNT: `value` must be
-// side-effect free — with WARP_PROFILE=OFF the call is an empty inline
-// function and the argument computation is dead code.
+// Instrumentation entry points, mirroring WARP_COUNT.
 #define WARP_HISTOGRAM_RECORD(histogram, value) \
   ::warp::obs::RecordValue((histogram), static_cast<uint64_t>(value))
 #define WARP_HISTOGRAM_RECORD_US(histogram, micros) \

@@ -148,11 +148,7 @@ std::string BenchReport::CounterTable() const {
     }
     table.AddRow(std::move(row));
   }
-  if (!any_row) {
-    return kProfilingEnabled
-               ? "(all work counters zero)\n"
-               : "(work counters disabled: build with -DWARP_PROFILE=ON)\n";
-  }
+  if (!any_row) return "(all work counters zero)\n";
   return table.ToString();
 }
 
@@ -214,8 +210,8 @@ std::string BenchReport::ToJson() const {
       .Uint(static_cast<uint64_t>(DefaultThreadCount()))
       .Key("hardware_concurrency")
       .Uint(static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .Key("profiling")
-      .Bool(kProfilingEnabled)
+      .Key("profiling")  // Always true; kept for the schema.
+      .Bool(true)
 #ifdef NDEBUG
       .Key("build")
       .String("release")

@@ -27,6 +27,20 @@ bool ReadIntegerMember(const JsonValue& object, const std::string& key,
 
 constexpr char kUnsigned[] = "a non-negative integer";
 
+// A reply's distance must be present and a JSON number: FormatDouble
+// spells a non-finite value null, and a gather must not merge a missing
+// distance as 0.
+bool ReadDistanceMember(const JsonValue& object, double* value,
+                        std::string* error) {
+  const JsonValue* member = object.Find("distance");
+  if (member == nullptr || !member->is_number()) {
+    *error = "'distance' must be a number";
+    return false;
+  }
+  *value = member->AsNumber();
+  return true;
+}
+
 }  // namespace
 
 bool ParseRequestLine(const std::string& line, ParsedLine* out,
@@ -413,14 +427,17 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
       if (!ReadIntegerMember(entry, "index", kUnsigned, &neighbor.index,
                              error) ||
           !ReadIntegerMember(entry, "label", "an integer", &neighbor.label,
-                             error)) {
+                             error) ||
+          !ReadDistanceMember(entry, &neighbor.distance, error)) {
         return false;
       }
-      neighbor.distance = entry.NumberOr("distance", 0.0);
       out->neighbors.push_back(neighbor);
     }
   }
-  out->distance = root.NumberOr("distance", 0.0);
+  if (!IsScanOp(out->op) &&
+      !ReadDistanceMember(root, &out->distance, error)) {
+    return false;
+  }
   if (!ReadIntegerMember(root, "position", kUnsigned, &out->position,
                          error)) {
     return false;

@@ -100,7 +100,9 @@ std::string FormatRequest(const ServeRequest& request);
 // Parses a response line (the inverse of FormatResponse, minus the trace
 // echo) into a typed ServeResponse. The cluster router uses this to
 // gather worker sub-scan replies; distances survive bit-for-bit, so a
-// re-serialized merge is byte-identical to the single-process answer.
+// re-serialized merge is byte-identical to the single-process answer. A
+// neighbor, or a dist/subsequence reply, whose distance is missing or not
+// a number (a non-finite one is written null) is refused.
 bool ParseResponseLine(const std::string& line, ServeResponse* out,
                        std::string* error);
 

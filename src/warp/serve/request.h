@@ -51,10 +51,10 @@ struct StageTrace {
   double engine_us = 0.0;     // candidate scan / kernel work (engine)
   double merge_us = 0.0;      // per-chunk result merge (engine)
   double serialize_us = 0.0;  // ServeResponse -> wire line (protocol)
-  // DP cells this execution computed (dtw_cells delta; 0 on cache hits
-  // and under WARP_PROFILE=OFF). Deterministic at one engine thread,
-  // unlike the timings. A multi-thread `1nn` or `knn` scan prunes against
-  // a bound its chunks share, so its count depends on scheduling.
+  // DP cells this execution computed (dtw_cells delta; 0 on cache hits).
+  // Deterministic at one engine thread, unlike the timings. A
+  // multi-thread `1nn` or `knn` scan prunes against a bound its chunks
+  // share, so its count depends on scheduling.
   uint64_t cells = 0;
 };
 

@@ -33,8 +33,7 @@ struct SlowQueryRecord {
   std::string measure;
   double engine_us = 0.0;  // scan + kernel time (the ranking key)
   double total_us = 0.0;   // cache lookup + engine + merge
-  uint64_t cells = 0;      // DP cells this query computed (0 when
-                           // WARP_PROFILE=OFF)
+  uint64_t cells = 0;      // DP cells this query computed
   uint64_t scanned = 0;
   uint64_t total = 0;
   bool partial = false;

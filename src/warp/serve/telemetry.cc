@@ -50,7 +50,9 @@ std::string FormatSnapshot(int64_t id, const char* op, const Telemetry& t,
                            bool lossless) {
   obs::JsonWriter writer;
   BeginReply(writer, id, op);
-  writer.Key("profiling").Bool(obs::kProfilingEnabled)
+  // Always true: counters are always compiled in. Kept so the pinned
+  // schema does not change.
+  writer.Key("profiling").Bool(true)
       .Key("counters").BeginObject();
   if (lossless) {
     for (size_t c = 0; c < obs::kNumCounters; ++c) {

@@ -28,7 +28,7 @@
 #include <cstdint>
 
 // Defined (to 0 or 1) by CMake via the WARP_SIMD option; default on for
-// builds that bypass CMake, mirroring WARP_PROFILE_ENABLED.
+// builds that bypass CMake.
 #ifndef WARP_SIMD_ENABLED
 #define WARP_SIMD_ENABLED 1
 #endif

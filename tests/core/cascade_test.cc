@@ -149,7 +149,6 @@ uint64_t Sum(const CascadeCounts& c) {
 void ExpectIdentity(const Tally& tally, const CascadeCounts* stats) {
   EXPECT_EQ(tally.candidates, Sum(tally.outcomes));
   EXPECT_EQ(tally.kim_calls, tally.candidates);
-  if (!obs::kProfilingEnabled) return;
   EXPECT_GT(tally.candidates, 0u);
   if (stats == nullptr) return;
   EXPECT_EQ(stats->pruned_by_kim, tally.outcomes.pruned_by_kim);

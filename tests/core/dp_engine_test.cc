@@ -59,7 +59,6 @@ TEST(DpEngineStaleTailTest, NarrowThenWideWindowIgnoresPoisonedWorkspace) {
 // steady-state loops over a reused workspace must be allocation-free.
 
 TEST(DpEngineWorkspaceTest, AllocsFlatAcrossRepeatedCallsOnOneWorkspace) {
-  if (!obs::kProfilingEnabled) GTEST_SKIP() << "profiling disabled";
   Rng rng(11);
   const std::vector<double> x = gen::RandomWalk(96, rng);
   const std::vector<double> y = gen::RandomWalk(96, rng);
@@ -89,7 +88,6 @@ TEST(DpEngineWorkspaceTest, AllocsFlatAcrossRepeatedCallsOnOneWorkspace) {
 }
 
 TEST(DpEngineWorkspaceTest, GrowthBumpsTheCounterOnce) {
-  if (!obs::kProfilingEnabled) GTEST_SKIP() << "profiling disabled";
   DtwWorkspace workspace;
   const obs::MetricsSnapshot before = obs::SnapshotCounters();
   workspace.PrepareRows(64);
@@ -106,7 +104,6 @@ TEST(DpEngineWorkspaceTest, GrowthBumpsTheCounterOnce) {
 // first query warms the classifier's thread-local workspace, further
 // queries must not touch the allocator through the DP engine.
 TEST(DpEngineWorkspaceTest, RepeatedNnQueriesStayFlat) {
-  if (!obs::kProfilingEnabled) GTEST_SKIP() << "profiling disabled";
   gen::GestureOptions options;
   options.length = 96;
   options.num_classes = 3;

@@ -30,7 +30,6 @@ TEST(WindowTest, SakoeChibaSquareBand) {
       EXPECT_EQ(window.Contains(i, j), in_band) << i << "," << j;
     }
   }
-  EXPECT_EQ(window.MaxDiagonalDeviation(), 2u);
 }
 
 TEST(WindowTest, SakoeChibaZeroBandIsDiagonal) {

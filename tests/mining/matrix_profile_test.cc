@@ -2,6 +2,7 @@
 
 #include "warp/mining/matrix_profile.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -68,10 +69,14 @@ TEST(MatrixProfileTest, PlantedMotifIsTheMinimum) {
     series[400 + k] = 2.0 * pattern[k] + 1.0;  // Scaled copy.
   }
   const MatrixProfile profile = ComputeMatrixProfile(series, 50);
-  const ProfileMotif motif = TopMotif(profile);
-  EXPECT_NEAR(static_cast<double>(motif.position_a), 100.0, 3.0);
-  EXPECT_NEAR(static_cast<double>(motif.position_b), 400.0, 3.0);
-  EXPECT_LT(motif.distance, 0.5);
+  // The motif pair is the profile's first minimum and its neighbor.
+  const size_t a = static_cast<size_t>(
+      std::min_element(profile.profile.begin(), profile.profile.end()) -
+      profile.profile.begin());
+  const size_t b = profile.index[a];
+  EXPECT_NEAR(static_cast<double>(std::min(a, b)), 100.0, 3.0);
+  EXPECT_NEAR(static_cast<double>(std::max(a, b)), 400.0, 3.0);
+  EXPECT_LT(profile.profile[a], 0.5);
 }
 
 TEST(MatrixProfileTest, PlantedDiscordIsTheMaximum) {

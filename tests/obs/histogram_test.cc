@@ -1,5 +1,5 @@
 // Tests for the histogram/gauge registry: bucket geometry, percentile
-// ranks, thread-merge determinism, and the OFF-build no-op guarantee.
+// ranks, thread-merge determinism and gauge deltas.
 
 #include "warp/obs/histogram.h"
 
@@ -101,7 +101,6 @@ TEST(HistogramTest, SnapshotDifferenceSaturatesAtZero) {
 }
 
 TEST(HistogramTest, RecordAccumulatesCountSumAndBuckets) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   const Histogram h = Histogram::kServeCellsPerQuery;
   const HistogramSnapshot before = SnapshotHistograms();
   RecordValue(h, 0);
@@ -117,7 +116,6 @@ TEST(HistogramTest, RecordAccumulatesCountSumAndBuckets) {
 }
 
 TEST(HistogramTest, RecordMicrosClampsNegativeToZero) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   const Histogram h = Histogram::kServeStageMerge;
   const HistogramSnapshot before = SnapshotHistograms();
   RecordMicros(h, -3.5);
@@ -148,7 +146,6 @@ HistogramData RecordAcrossThreads(size_t num_threads) {
 }
 
 TEST(HistogramTest, MergeIsIdenticalAtOneTwoAndEightThreads) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   const HistogramData serial = RecordAcrossThreads(1);
   EXPECT_EQ(serial.count, 1000u);
   for (const size_t threads : {2u, 8u}) {
@@ -160,7 +157,6 @@ TEST(HistogramTest, MergeIsIdenticalAtOneTwoAndEightThreads) {
 }
 
 TEST(HistogramTest, GaugeDeltasAreCommutative) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   const Gauge g = Gauge::kServeQueueDepth;
   const int64_t start = GaugeValue(g);
   GaugeAdd(g, 5);
@@ -169,16 +165,6 @@ TEST(HistogramTest, GaugeDeltasAreCommutative) {
   EXPECT_EQ(SnapshotGauges().Get(g), start + 3);
   GaugeAdd(g, -3);  // Settle back so later tests see the original level.
   EXPECT_EQ(GaugeValue(g), start);
-}
-
-TEST(HistogramTest, OffBuildRecordsNothing) {
-  if (kProfilingEnabled) GTEST_SKIP() << "needs WARP_PROFILE=OFF";
-  const HistogramSnapshot before = SnapshotHistograms();
-  RecordValue(Histogram::kServeCellsPerQuery, 42);
-  GaugeAdd(Gauge::kServeQueueDepth, 7);
-  EXPECT_TRUE(HistogramsSince(before).AllEmpty());
-  EXPECT_EQ(GaugeValue(Gauge::kServeQueueDepth), 0);
-  EXPECT_EQ(SnapshotGauges().Get(Gauge::kServeQueueDepth), 0);
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ TEST(MetricsTest, SnapshotDifferenceSaturatesAtZero) {
 }
 
 TEST(MetricsTest, FullDtwCountsExactlyNTimesMCells) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   const std::vector<double> x = {0.0, 1.0, 2.0, 3.0};
   const std::vector<double> y = {0.0, 1.0, 2.0};
   const MetricsSnapshot before = SnapshotCounters();
@@ -53,7 +52,6 @@ TEST(MetricsTest, FullDtwCountsExactlyNTimesMCells) {
 }
 
 TEST(MetricsTest, BandedDtwCountsExactlyTheBandCells) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   Rng rng(7);
   const std::vector<double> x = gen::RandomWalk(8, rng);
   const std::vector<double> y = gen::RandomWalk(8, rng);
@@ -66,7 +64,6 @@ TEST(MetricsTest, BandedDtwCountsExactlyTheBandCells) {
 }
 
 TEST(MetricsTest, FastDtwCounterMatchesResultCellsVisited) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   Rng rng(11);
   const std::vector<double> x = gen::RandomWalk(200, rng);
   const std::vector<double> y = gen::RandomWalk(200, rng);
@@ -79,7 +76,6 @@ TEST(MetricsTest, FastDtwCounterMatchesResultCellsVisited) {
 }
 
 TEST(MetricsTest, EnvelopeCountsBuildsAndPoints) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   Rng rng(13);
   const std::vector<double> x = gen::RandomWalk(64, rng);
   const MetricsSnapshot before = SnapshotCounters();
@@ -111,7 +107,6 @@ uint64_t CountCellsAcrossThreads(size_t num_threads, size_t jobs) {
 }
 
 TEST(MetricsTest, MergeIsIdenticalAtOneTwoAndEightThreads) {
-  if (!kProfilingEnabled) GTEST_SKIP() << "built with WARP_PROFILE=OFF";
   constexpr size_t kJobs = 40;
   const uint64_t serial = CountCellsAcrossThreads(1, kJobs);
   EXPECT_EQ(serial, kJobs * 32u * 32u);
@@ -138,18 +133,6 @@ TEST(MetricsTest, CountingDoesNotPerturbResults) {
     for (const double r : results) {
       EXPECT_EQ(r, serial);
     }
-  }
-}
-
-TEST(MetricsTest, OffBuildSnapshotsStayZero) {
-  if (kProfilingEnabled) GTEST_SKIP() << "needs WARP_PROFILE=OFF";
-  Rng rng(29);
-  const std::vector<double> x = gen::RandomWalk(32, rng);
-  const MetricsSnapshot before = SnapshotCounters();
-  DtwDistance(x, x);
-  const MetricsSnapshot delta = CountersSince(before);
-  for (size_t i = 0; i < kNumCounters; ++i) {
-    EXPECT_EQ(delta.values[i], 0u);
   }
 }
 

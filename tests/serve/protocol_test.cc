@@ -218,6 +218,9 @@ TEST(ProtocolTest, RejectsBadResponseFields) {
         R"( "neighbors": [{"index": 1e300, "label": 0, "distance": 1}]})",
         R"( "neighbors": [{"index": 1, "label": 3e9, "distance": 1}]})",
         R"( "neighbors": [{"index": 1, "label": 0.5, "distance": 1}]})",
+        R"( "neighbors": [{"index": 3, "label": 1}]})",
+        R"( "neighbors": [{"index": 3, "label": 1, "distance": "1"}]})",
+        R"( "neighbors": [{"index": 3, "label": 1, "distance": null}]})",
         R"( "scanned": 1e300})", R"( "total": -4})", R"( "position": 2.5})",
         R"( "shards_missing": [1.5]})", R"( "shards_missing": [-1]})"}) {
     ServeResponse bad;
@@ -225,6 +228,10 @@ TEST(ProtocolTest, RejectsBadResponseFields) {
   }
   EXPECT_FALSE(ParseResponseLine(R"({"id": 1e300, "ok": false})", &response,
                                  &error));
+  // A dist reply without its distance.
+  EXPECT_FALSE(ParseResponseLine(
+      R"({"id": 1, "ok": true, "op": "dist", "scanned": 1, "total": 1})",
+      &response, &error));
 }
 
 // The property the result cache and loopback golden tests rely on:

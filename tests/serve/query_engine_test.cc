@@ -205,7 +205,6 @@ TEST_F(QueryEngineTest, KnnDoesTheClassifiersCascadeWork) {
     const obs::MetricsSnapshot classifier_work = obs::CountersSince(before);
     ASSERT_TRUE(response.ok) << response.error;
     EXPECT_EQ(response.neighbors[0].index, prediction.nn_index);
-    if (!obs::kProfilingEnabled) continue;
     for (const obs::Counter counter :
          {obs::Counter::kDtwCells, obs::Counter::kLbKimKills,
           obs::Counter::kLbKeoghKills, obs::Counter::kCascadeEarlyAbandons,
@@ -295,9 +294,7 @@ TEST_F(QueryEngineTest, SubsequenceMatchesFindBestMatch) {
     EXPECT_EQ(response.distance, expected.distance);
     EXPECT_EQ(response.total, 256u - 32u + 1u);
     // The search's banded cDTW cells are the reply's work.
-    if (obs::kProfilingEnabled) {
-      EXPECT_GT(response.trace.cells, 0u);
-    }
+    EXPECT_GT(response.trace.cells, 0u);
   });
 }
 

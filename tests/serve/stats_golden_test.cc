@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "warp/common/metrics.h"
 #include "warp/gen/random_walk.h"
 #include "warp/obs/histogram.h"
 #include "warp/obs/json_writer.h"
@@ -146,8 +145,7 @@ TEST(StatsGoldenTest, StatsSchemaAndDeterministicFieldsArePinned) {
   EXPECT_EQ(stats.NumberOr("id", -1), 10.0);
   ASSERT_TRUE(stats.BoolOr("ok", false));
   EXPECT_EQ(stats.StringOr("op", ""), "stats");
-  EXPECT_EQ(stats.BoolOr("profiling", !obs::kProfilingEnabled),
-            obs::kProfilingEnabled);
+  EXPECT_TRUE(stats.BoolOr("profiling", false));
 
   // Counters: exactly the engine/shard/snapshot/admission/cluster
   // counters the op emits (the cluster trio reads zero on a plain
@@ -193,27 +191,22 @@ TEST(StatsGoldenTest, StatsSchemaAndDeterministicFieldsArePinned) {
   EXPECT_EQ(gauges->AsObject().size(), obs::kNumGauges);
   EXPECT_EQ(gauges->NumberOr("serve_queue_depth", -1), 0.0);
   EXPECT_EQ(gauges->NumberOr("serve_inflight_batch", -1), 0.0);
-  EXPECT_EQ(gauges->NumberOr("serve_open_connections", -1),
-            obs::kProfilingEnabled ? 1.0 : 0.0);
+  EXPECT_EQ(gauges->NumberOr("serve_open_connections", -1), 1.0);
 
   // Histograms: process-cumulative, so counts are schema-checked (>= the
   // activity just run), not pinned.
   const JsonValue* histograms = stats.Find("histograms");
   ASSERT_NE(histograms, nullptr);
-  if (obs::kProfilingEnabled) {
-    const JsonValue* latency = histograms->Find("serve_latency_1nn_us");
-    ASSERT_NE(latency, nullptr);
-    EXPECT_GE(latency->NumberOr("count", 0), 3.0);
-    for (const char* key : {"count", "sum", "mean", "p50", "p95", "p99",
-                            "buckets"}) {
-      EXPECT_NE(latency->Find(key), nullptr) << key;
-    }
-    const JsonValue* cells = histograms->Find("serve_cells_per_query");
-    ASSERT_NE(cells, nullptr);
-    EXPECT_GE(cells->NumberOr("count", 0), 2.0);  // Hits record no cells.
-  } else {
-    EXPECT_TRUE(histograms->AsObject().empty());
+  const JsonValue* latency = histograms->Find("serve_latency_1nn_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GE(latency->NumberOr("count", 0), 3.0);
+  for (const char* key : {"count", "sum", "mean", "p50", "p95", "p99",
+                          "buckets"}) {
+    EXPECT_NE(latency->Find(key), nullptr) << key;
   }
+  const JsonValue* cells = histograms->Find("serve_cells_per_query");
+  ASSERT_NE(cells, nullptr);
+  EXPECT_GE(cells->NumberOr("count", 0), 2.0);  // Hits record no cells.
 
   // Slowlog: per-instance. The two computed queries are pending; the
   // cache hit is not.
@@ -289,9 +282,7 @@ TEST(StatsGoldenTest, SlowlogOpDrainsSortedByEngineTime) {
     EXPECT_GE(entry.NumberOr("total_us", -1),
               entry.NumberOr("engine_us", -1));
     EXPECT_EQ(entry.NumberOr("total", 0), static_cast<double>(kSeries));
-    if (obs::kProfilingEnabled) {
-      EXPECT_GT(entry.NumberOr("cells", 0), 0.0);
-    }
+    EXPECT_GT(entry.NumberOr("cells", 0), 0.0);
     if (i > 0) {
       EXPECT_LE(entry.NumberOr("engine_us", 0), previous_engine_us);
     }
@@ -319,11 +310,7 @@ TEST(StatsGoldenTest, TraceEchoFollowsTheContract) {
     EXPECT_GE(cold->NumberOr(key, -1), 0.0) << key;
   }
   EXPECT_GT(cold->NumberOr("engine_us", 0), 0.0);
-  if (obs::kProfilingEnabled) {
-    EXPECT_GT(cold->NumberOr("cells", 0), 0.0);
-  } else {
-    EXPECT_EQ(cold->NumberOr("cells", -1), 0.0);
-  }
+  EXPECT_GT(cold->NumberOr("cells", 0), 0.0);
 
   responses = live.RoundTrip({OneNnLine(2, 303, /*trace=*/true)});
   ASSERT_EQ(responses.size(), 1u);

@@ -116,8 +116,7 @@ COMMANDS
 GLOBAL FLAGS
   --profile           After the command, print the work-counter report
                       (cells computed, bound calls, cascade outcomes) to
-                      stderr. Requires a -DWARP_PROFILE=ON build (the
-                      default); see docs/OBSERVABILITY.md.
+                      stderr; see docs/OBSERVABILITY.md.
   --simd=MODE         SIMD kernel dispatch: on | off | auto (default
                       auto = use vector paths when the CPU supports the
                       compiled backend; see docs/SIMD.md). Results are
@@ -469,12 +468,7 @@ int CmdQuery(Flags& flags) {
 // `2>profile.txt` redirect captures the whole picture.
 void PrintProfile(const obs::MetricsSnapshot& delta,
                   const obs::HistogramSnapshot& histograms) {
-  std::fprintf(stderr, "# --- work counters (WARP_PROFILE) ---\n");
-  if (!obs::kProfilingEnabled) {
-    std::fprintf(stderr,
-                 "# counters disabled: rebuild with -DWARP_PROFILE=ON\n");
-    return;
-  }
+  std::fprintf(stderr, "# --- work counters ---\n");
   bool any = false;
   for (size_t i = 0; i < obs::kNumCounters; ++i) {
     if (delta.values[i] == 0) continue;
