@@ -9,6 +9,8 @@
 //   D. What does the square-band integer fast path buy over the
 //      generalized scaled-diagonal ranges? Both run on the row engine,
 //      at bands 6 and 94.
+// C and D time every call on its own and alternate the two calls they
+// compare, then report the ratio of the two medians.
 //
 // Flags: --length (315), --train (64), --test (32), --band-percent (10),
 //        --reps (200), --json=<path>.
@@ -17,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bench_flags.h"
@@ -105,6 +108,38 @@ double RunCascade(const Dataset& train, const Dataset& test, size_t band,
   return watch.ElapsedSeconds();
 }
 
+// Times `reps` calls each of `first` and `second`, one sample per call,
+// alternating the two so that host drift (clock frequency, other tenants)
+// hits both alike. Records them as the cases `first_name` and
+// `second_name`, each with the counter work of its own calls, and returns
+// their two median call times in seconds.
+template <typename First, typename Second>
+std::pair<double, double> CompareAlternating(
+    obs::BenchReport& report, int reps, const std::string& first_name,
+    First&& first, const std::string& second_name, Second&& second) {
+  std::vector<double> samples[2];
+  obs::MetricsSnapshot counters[2];
+  const auto time_call = [&](auto& call, int side) {
+    const obs::MetricsSnapshot before = obs::SnapshotCounters();
+    const Stopwatch watch;
+    call();
+    samples[side].push_back(watch.ElapsedSeconds());
+    const obs::MetricsSnapshot delta = obs::CountersSince(before);
+    for (size_t c = 0; c < obs::kNumCounters; ++c) {
+      counters[side].values[c] += delta.values[c];
+    }
+  };
+  for (int r = 0; r < reps; ++r) {
+    time_call(first, 0);
+    time_call(second, 1);
+  }
+  const TimingSummary first_timing = SummarizeSamples(samples[0]);
+  const TimingSummary second_timing = SummarizeSamples(samples[1]);
+  report.AddCase(first_name, first_timing, counters[0]);
+  report.AddCase(second_name, second_timing, counters[1]);
+  return {first_timing.median, second_timing.median};
+}
+
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const size_t length = flags.GetCount("length", 315, 1);
@@ -113,7 +148,6 @@ int Main(int argc, char** argv) {
   const size_t band_percent =
       static_cast<size_t>(flags.GetInt("band-percent", 10, 0, 100));
   const int reps = static_cast<int>(flags.GetCount("reps", 200, 1));
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -121,7 +155,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "Ablations",
       "Cascade rungs, bound tightness, buffer reuse, band fast path");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("length", static_cast<int64_t>(length));
   report.AddConfig("train", static_cast<int64_t>(train_size));
   report.AddConfig("test", static_cast<int64_t>(test_size));
@@ -238,25 +271,15 @@ int Main(int argc, char** argv) {
   const std::vector<double> x = gen::RandomWalk(945, rng);
   const std::vector<double> y = gen::RandomWalk(945, rng);
   double checksum = 0.0;
-  before = obs::SnapshotCounters();
-  Stopwatch no_reuse;
-  for (int r = 0; r < reps; ++r) checksum += CdtwDistance(x, y, 38);
-  const double no_reuse_seconds = no_reuse.ElapsedSeconds();
-  report.AddCase("buffer_fresh", SummarizeSamples({no_reuse_seconds}),
-                 obs::CountersSince(before));
-  before = obs::SnapshotCounters();
-  Stopwatch reuse;
-  for (int r = 0; r < reps; ++r) {
-    checksum += CdtwDistance(x, y, 38, CostKind::kSquared, &buffer);
-  }
-  const double reuse_seconds = reuse.ElapsedSeconds();
-  report.AddCase("buffer_reused", SummarizeSamples({reuse_seconds}),
-                 obs::CountersSince(before));
-  DoNotOptimize(checksum);
-  std::printf("\nC. DtwBuffer reuse at N=945, w=4%% (%d calls): fresh "
-              "allocations %.1f ms vs reused %.1f ms (%.0f%% saved)\n",
-              reps, no_reuse_seconds * 1e3, reuse_seconds * 1e3,
-              100.0 * (no_reuse_seconds - reuse_seconds) / no_reuse_seconds);
+  const auto [fresh, reused] = CompareAlternating(
+      report, reps, "buffer_fresh", [&] { checksum += CdtwDistance(x, y, 38); },
+      "buffer_reused", [&] {
+        checksum += CdtwDistance(x, y, 38, CostKind::kSquared, &buffer);
+      });
+  std::printf("\nC. DtwBuffer reuse at N=945, w=4%% (median of %d calls "
+              "each): fresh allocations %.1f us vs reused %.1f us (%.0f%% "
+              "saved)\n",
+              reps, fresh * 1e6, reused * 1e6, 100.0 * (1.0 - reused / fresh));
 
   // --- D: square fast path ----------------------------------------------------
   // The unequal-length call always takes the row engine; with SIMD on, a
@@ -266,31 +289,23 @@ int Main(int argc, char** argv) {
   // inputs stay on the row engine in auto mode too.
   const std::vector<double> y_off = gen::RandomWalk(944, rng);
   const simd::ScopedSimdMode row_engine(simd::SimdMode::kOff);
-  std::printf("D. band ranges at N=945 on the row engine (%d calls each):\n",
+  std::printf("D. band ranges at N=945 on the row engine (median of %d "
+              "calls each):\n",
               reps);
   for (const size_t band : {size_t{6}, size_t{94}}) {
     const std::string suffix = "_w" + std::to_string(band);
-    before = obs::SnapshotCounters();
-    Stopwatch square;
-    for (int r = 0; r < reps; ++r) {
-      checksum += CdtwDistance(x, y, band, CostKind::kSquared, &buffer);
-    }
-    const double square_seconds = square.ElapsedSeconds();
-    report.AddCase("band_square" + suffix, SummarizeSamples({square_seconds}),
-                   obs::CountersSince(before));
-    before = obs::SnapshotCounters();
-    Stopwatch general;
-    for (int r = 0; r < reps; ++r) {
-      checksum += CdtwDistance(x, y_off, band, CostKind::kSquared, &buffer);
-    }
-    const double general_seconds = general.ElapsedSeconds();
-    report.AddCase("band_general" + suffix,
-                   SummarizeSamples({general_seconds}),
-                   obs::CountersSince(before));
-    std::printf("   band %3zu: square integer fast path %.1f ms vs "
-                "generalized scaled-diagonal %.1f ms (%+.0f%%)\n",
-                band, square_seconds * 1e3, general_seconds * 1e3,
-                100.0 * (general_seconds - square_seconds) / square_seconds);
+    const auto [square, general] = CompareAlternating(
+        report, reps, "band_square" + suffix,
+        [&] {
+          checksum += CdtwDistance(x, y, band, CostKind::kSquared, &buffer);
+        },
+        "band_general" + suffix, [&] {
+          checksum += CdtwDistance(x, y_off, band, CostKind::kSquared, &buffer);
+        });
+    std::printf("   band %3zu: square integer fast path %.1f us vs "
+                "generalized scaled-diagonal %.1f us (%+.0f%%)\n",
+                band, square * 1e6, general * 1e6,
+                100.0 * (general / square - 1.0));
   }
   DoNotOptimize(checksum);
   report.Finish(json_path);

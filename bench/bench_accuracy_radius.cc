@@ -36,7 +36,6 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int pairs = static_cast<int>(flags.GetCount("pairs", 30, 1));
   const size_t length = flags.GetCount("length", 300, 1);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -44,7 +43,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "Fig. 1(a) annotations",
       "FastDTW approximation error vs radius on three data families");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("pairs", pairs);
   report.AddConfig("length", static_cast<int64_t>(length));
 

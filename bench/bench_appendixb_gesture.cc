@@ -38,13 +38,11 @@ int Main(int argc, char** argv) {
   const size_t per_class_train = flags.GetCount("train", 6, 1);
   const size_t per_class_test = flags.GetCount("test", 4, 1);
   const size_t radius = flags.GetCount("radius", 30);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
 
   obs::BenchReport report(
       "E9 / Appendix B",
       "Multichannel gesture 1-NN: FastDTW_30 vs exact DTW");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("channels", static_cast<int64_t>(channels));
   report.AddConfig("length", static_cast<int64_t>(length));
   report.AddConfig("classes", classes);

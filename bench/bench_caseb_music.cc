@@ -37,7 +37,6 @@ int Main(int argc, char** argv) {
   const int warmup = static_cast<int>(flags.GetCount("warmup", 1));
   const bool skip_reference = flags.GetBool("skip-reference", false);
   const bool ref_r40 = flags.GetBool("ref-r40", false);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -45,7 +44,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E3 / Section 3.2",
       "Music alignment (Case B): cDTW_0.83% vs FastDTW_10/40");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("length", static_cast<int64_t>(length));
   report.AddConfig("reps", reps);
   report.AddConfig("ref_reps", ref_reps);

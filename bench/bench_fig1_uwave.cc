@@ -157,11 +157,12 @@ int Main(int argc, char** argv) {
   cdtw_table.Print();
 
   // (c) Multi-core all-pairs throughput: the same comparisons fanned out
-  // over a thread pool. The checksum equality line verifies the parallel
-  // sweep computed bitwise-identical distances.
+  // over a thread pool. The checksum column verifies the parallel sweep
+  // computed bitwise-identical distances; a mismatch fails the run.
   if (threads > 1) {
     std::printf("\n(c) parallel all-pairs throughput (--threads=%zu)\n",
                 threads);
+    bool checksums_equal = true;
     TablePrinter par_table({"measure", "1-thread us/cmp",
                             "N-thread us/cmp", "speedup", "checksums"});
     const auto report = [&](const char* name, const auto& factory) {
@@ -169,6 +170,7 @@ int Main(int argc, char** argv) {
           TimeAllPairsParallel(dataset, exemplars, 1, factory);
       const PairwiseTiming parallel =
           TimeAllPairsParallel(dataset, exemplars, threads, factory);
+      checksums_equal &= serial.checksum == parallel.checksum;
       par_table.AddRow(
           {name, TablePrinter::FormatDouble(serial.micros_per_pair(), 1),
            TablePrinter::FormatDouble(parallel.micros_per_pair(), 1),
@@ -194,6 +196,11 @@ int Main(int argc, char** argv) {
       };
     });
     par_table.Print();
+    if (!checksums_equal) {
+      std::fprintf(stderr, "bench_fig1_uwave: the parallel sweep's checksum "
+                           "differs from the serial one\n");
+      return 1;
+    }
   }
 
   // Index of the sweep entry closest to a requested setting, and the

@@ -28,7 +28,6 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int bins_w = static_cast<int>(flags.GetCount("bins-w", 11, 1));
   const int bins_len = static_cast<int>(flags.GetCount("bins-len", 15, 1));
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -36,7 +35,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E2 / Fig. 2",
       "UCR-2018 archive: optimal-window and length distributions");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("bins_w", bins_w);
   report.AddConfig("bins_len", bins_len);
 

@@ -53,7 +53,6 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const size_t length = flags.GetCount("length", 450, 1);
   const size_t shift = flags.GetCount("shift", 153);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -61,7 +60,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E4 / Fig. 3",
       "Power-demand motivating example: W estimate from the alignment");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("length", static_cast<int64_t>(length));
   report.AddConfig("shift", static_cast<int64_t>(shift));
 

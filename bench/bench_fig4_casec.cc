@@ -39,7 +39,6 @@ int Main(int argc, char** argv) {
   const size_t length = flags.GetCount("length", 450, 1);
   const int step = static_cast<int>(flags.GetCount("step", 8, 1));
   const int max_setting = static_cast<int>(flags.GetCount("max", 40));
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -47,7 +46,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E5 / Fig. 4",
       "All-pairs time (Case C): FastDTW_r vs cDTW_w, r and w in 0..40");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("exemplars", static_cast<int64_t>(exemplars));
   report.AddConfig("ref_exemplars", static_cast<int64_t>(ref_exemplars));
   report.AddConfig("total", static_cast<int64_t>(total));

@@ -35,7 +35,6 @@ int Main(int argc, char** argv) {
   const size_t radius = flags.GetCount("radius", 40);
   const double max_seconds = flags.GetDouble("max-seconds", 64.0, 0.0);
   const bool skip_reference = flags.GetBool("skip-reference", false);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -43,7 +42,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E6 / Figs. 5-6",
       "Fall alignment (Case D): cDTW_100 vs FastDTW_40 as L grows");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("reps", reps);
   report.AddConfig("ref_reps", ref_reps);
   report.AddConfig("radius", static_cast<int64_t>(radius));

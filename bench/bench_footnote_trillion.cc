@@ -43,7 +43,6 @@ int Main(int argc, char** argv) {
   const size_t query_len = flags.GetCount("query", 128, 1);
   // The search needs at least one full window of the query.
   const size_t haystack_len = flags.GetCount("haystack", 200000, query_len);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -51,7 +50,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E8 / Section 3.4 footnote 2",
       "Trillion-point projection: FastDTW_10 at N=128 vs cDTW_5 search");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("reps", reps);
   report.AddConfig("haystack", static_cast<int64_t>(haystack_len));
   report.AddConfig("query", static_cast<int64_t>(query_len));

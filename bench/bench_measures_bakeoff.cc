@@ -130,14 +130,12 @@ int Main(int argc, char** argv) {
   const int classes = static_cast<int>(flags.GetCount("classes", 6, 1));
   const double warp = flags.GetDouble("warp", 0.1, 0.0);
   const double noise = flags.GetDouble("noise", 0.45, 0.0);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   const simd::SimdMode simd_mode = SimdFlag(flags);
   flags.Finalize();
 
   obs::BenchReport report(
       "Bake-off", "1-NN accuracy and time for every measure in the suite");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("length", static_cast<int64_t>(length));
   report.AddConfig("train", static_cast<int64_t>(per_class_train));
   report.AddConfig("test", static_cast<int64_t>(per_class_test));

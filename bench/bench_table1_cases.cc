@@ -41,14 +41,12 @@ struct CaseSpec {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int reps = static_cast<int>(flags.GetCount("reps", 5, 1));
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
 
   obs::BenchReport report(
       "Table 1", "Four-quadrant map: exact cDTW_W vs FastDTW per case");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("reps", reps);
 
   PrintBanner("Table 1",

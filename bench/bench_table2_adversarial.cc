@@ -46,7 +46,6 @@ double MeanPathDirection(const WarpingPath& path) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const size_t radius = flags.GetCount("radius", 20);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const std::string json_path = JsonFlag(flags);
   SimdFlag(flags);
   flags.Finalize();
@@ -54,7 +53,6 @@ int Main(int argc, char** argv) {
   obs::BenchReport report(
       "E7 / Table 2 + Figs. 7-8",
       "Adversarial triple: Full DTW vs FastDTW distance matrices");
-  report.AddConfig("threads", static_cast<int64_t>(threads));
   report.AddConfig("radius", static_cast<int64_t>(radius));
 
   PrintBanner("E7 / Table 2 + Figs. 7-8",

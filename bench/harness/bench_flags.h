@@ -21,28 +21,13 @@ using Flags = ::warp::Flags;
 // Shared --simd=on|off|auto flag (docs/SIMD.md).
 using simd::SimdFlag;
 
-// Shared --threads flag. Default 1 keeps every harness paper-faithful
-// (single core); --threads=0 means auto (WARP_THREADS env, else
+// --threads, for a harness that also times its sweep on a pool. The other
+// harnesses measure one core, the paper's configuration, and take no
+// --threads. Default 1; --threads=0 means auto (WARP_THREADS env, else
 // hardware_concurrency); --threads=N uses N pool workers.
 inline size_t ThreadsFlag(Flags& flags) {
   const size_t value = flags.GetCount("threads", 1);
   return value == 0 ? DefaultThreadCount() : value;
-}
-
-// Shared --threads handling for the harnesses that measure single-core by
-// design (the paper's configuration). The flag is accepted and recorded in
-// the report config so flag surfaces stay uniform across every bench
-// binary, but a value above 1 prints a note instead of silently changing
-// nothing — the harness convention is that flags never no-op quietly.
-inline size_t SingleCoreThreadsFlag(Flags& flags) {
-  const size_t threads = ThreadsFlag(flags);
-  if (threads > 1) {
-    std::fprintf(stderr,
-                 "note: single-core harness; --threads=%zu is recorded in "
-                 "the report but does not parallelize the measurement\n",
-                 threads);
-  }
-  return threads;
 }
 
 // Shared --json=<path> flag: destination for the machine-readable

@@ -8,8 +8,7 @@
 //
 // TimeAllPairs is templated on the measure callable so the comparison
 // lands as a direct (inlinable) call: at microseconds per pair, a
-// std::function indirection is measurable. A std::function overload
-// remains for callers that already hold one.
+// std::function indirection is measurable.
 //
 // TimeAllPairsParallel is the multi-core variant. It preserves the serial
 // checksum bit-for-bit at any thread count: every pair's distance is
@@ -23,8 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -68,21 +65,6 @@ PairwiseTiming TimeAllPairs(const Dataset& dataset, size_t sample_count,
   }
   timing.seconds = watch.ElapsedSeconds();
   return timing;
-}
-
-// Thin non-template overload for callers that already hold a
-// std::function (exact-match preferred by overload resolution; lambdas
-// bind to the template above without wrapping).
-inline PairwiseTiming TimeAllPairs(const Dataset& dataset,
-                                   size_t sample_count,
-                                   const std::function<double(
-                                       std::span<const double>,
-                                       std::span<const double>)>& measure) {
-  return TimeAllPairs(dataset, sample_count,
-                      [&measure](std::span<const double> a,
-                                 std::span<const double> b) {
-                        return measure(a, b);
-                      });
 }
 
 // Multi-core all-pairs timing. `make_measure` is a factory invoked once

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run a small bench suite, validate the JSON reports, merge them.
 
-This is the driver behind CI's `bench-smoke` job: it runs a handful of
-bench binaries at deliberately tiny sizes (seconds total, not minutes),
+This is the driver behind CI's `bench-smoke` job: it runs every bench
+binary at deliberately tiny sizes (seconds total, not minutes),
 checks that every `--json=<path>` report conforms to its schema, and
 merges everything into a single trajectory file that CI uploads as an
 artifact.  Two schemas are in play (see docs/OBSERVABILITY.md):
@@ -33,6 +33,18 @@ SUITE = [
     ("bench_footnote_trillion", ["--reps=20", "--haystack=20000"]),
     # Exits 1 if any cascade configuration changes a 1-NN prediction.
     ("bench_ablation", ["--train=16", "--test=8", "--reps=2"]),
+    # Exits 1 if section (c)'s parallel checksums differ from the serial.
+    ("bench_fig1_uwave", ["--exemplars=4", "--ref-exemplars=2", "--max=4",
+                          "--threads=2"]),
+    ("bench_fig2_ucr", []),
+    ("bench_fig3_power", []),
+    ("bench_fig4_casec", ["--exemplars=4", "--ref-exemplars=2", "--max=8"]),
+    ("bench_fig6_cased", ["--reps=1", "--max-seconds=2", "--skip-reference"]),
+    ("bench_caseb_music", ["--length=2400", "--reps=1", "--skip-reference"]),
+    ("bench_appendixb_gesture", ["--train=1", "--test=1", "--classes=2"]),
+    ("bench_measures_bakeoff", ["--train=1", "--test=1", "--classes=2",
+                                "--length=32"]),
+    ("bench_table2_adversarial", []),
     ("bench_serve_throughput", ["--series=20", "--length=32", "--queries=64",
                                 "--clients=2", "--threads=2", "--repeats=1"]),
     # Names carry trailing args (BM_Envelope/<n>/<lanes>,

@@ -39,6 +39,10 @@ using serve::ServeResponse;
 // renderers a plain server uses.
 constexpr char kTelemetryRequest[] = R"({"id":0,"op":"telemetry"})";
 
+// Per-worker budgets: one (re)connect, and the wait for one reply line.
+constexpr int kConnectTimeoutMs = 2000;
+constexpr int kGatherTimeoutMs = 60000;
+
 }  // namespace
 
 struct Router::Impl {
@@ -90,8 +94,7 @@ struct Router::Impl {
       return true;
     }
     std::string error;
-    if (!link.client.Connect(status.port, options.connect_timeout_ms,
-                             &error)) {
+    if (!link.client.Connect(status.port, kConnectTimeoutMs, &error)) {
       return false;
     }
     link.generation = status.generation;
@@ -110,8 +113,7 @@ struct Router::Impl {
     for (size_t shard = 0; shard < links.size(); ++shard) {
       std::vector<std::string> lines;
       if (replies[shard].sent &&
-          links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                        &lines)) {
+          links[shard].client.ReadLines(1, kGatherTimeoutMs, &lines)) {
         replies[shard].line = std::move(lines[0]);
       }
     }
@@ -124,8 +126,7 @@ struct Router::Impl {
       if (!LinkUp(shard)) continue;
       std::vector<std::string> replies;
       if (!links[shard].client.Send(line + "\n") ||
-          !links[shard].client.ReadLines(1, options.gather_timeout_ms,
-                                         &replies)) {
+          !links[shard].client.ReadLines(1, kGatherTimeoutMs, &replies)) {
         continue;
       }
       *reply = std::move(replies[0]);
@@ -243,8 +244,8 @@ struct Router::Impl {
       WorkerBatch& batch = batches[shard];
       if (!up[shard] || batch.slots.empty()) continue;
       std::vector<std::string> lines;
-      if (!links[shard].client.ReadLines(batch.slots.size(),
-                                         options.gather_timeout_ms, &lines)) {
+      if (!links[shard].client.ReadLines(batch.slots.size(), kGatherTimeoutMs,
+                                         &lines)) {
         lose(shard);
         continue;
       }

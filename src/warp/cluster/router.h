@@ -37,9 +37,7 @@ namespace cluster {
 class Supervisor;
 
 struct RouterOptions {
-  int port = 0;               // 0 = kernel-assigned; port() reports it.
-  int connect_timeout_ms = 2000;   // Per worker (re)connect.
-  int gather_timeout_ms = 60000;   // Max wait per sub-scan reply line.
+  int port = 0;  // 0 = kernel-assigned; port() reports it.
 };
 
 // Accepts client connections and serves them against the supervisor's

@@ -17,6 +17,10 @@ constexpr double kHealthyUptimeMs = 2000.0;
 // Grace period between SIGTERM and SIGKILL during Stop().
 constexpr int kTermGraceMs = 2000;
 
+// Max wait for a worker's ready line, and the monitor loop's cadence.
+constexpr int kReadyTimeoutMs = 30000;
+constexpr int kPollIntervalMs = 20;
+
 }  // namespace
 
 Supervisor::Supervisor(const SupervisorOptions& options) : options_(options) {
@@ -42,14 +46,13 @@ bool Supervisor::SpawnAndAwaitReady(size_t shard, ChildProcess* proc,
     return false;
   }
   std::string line;
-  if (!proc->WaitForLinePrefix("ready port=", options_.ready_timeout_ms,
-                               &line) ||
+  if (!proc->WaitForLinePrefix("ready port=", kReadyTimeoutMs, &line) ||
       !ParseReadyPort(line, port)) {
     proc->Kill(SIGKILL);
     proc->Reap();
     *error = "worker for shard " + std::to_string(shard) +
              " did not report readiness within " +
-             std::to_string(options_.ready_timeout_ms) + "ms";
+             std::to_string(kReadyTimeoutMs) + "ms";
     return false;
   }
   *pid = proc->pid();
@@ -200,7 +203,7 @@ void Supervisor::MonitorLoop() {
       continue;
     }
 
-    SleepMillis(options_.poll_interval_ms);
+    SleepMillis(kPollIntervalMs);
   }
 }
 

@@ -34,10 +34,8 @@ struct SupervisorOptions {
   size_t threads = 1;         // Scan threads per worker.
   size_t cache_capacity = 256;
   size_t max_queue_depth = 1024;
-  int ready_timeout_ms = 30000;     // Max wait for a worker's ready line.
   int restart_backoff_ms = 200;     // First-retry delay; doubles per failure.
   int restart_backoff_max_ms = 5000;
-  int poll_interval_ms = 20;        // Monitor-loop cadence.
   int ping_interval_ms = 1000;      // Liveness ping cadence; <= 0 disables.
   int ping_timeout_ms = 1500;       // Connect + reply budget per ping.
 };

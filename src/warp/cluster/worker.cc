@@ -1,6 +1,8 @@
 #include "warp/cluster/worker.h"
 
-#include <cstdlib>
+#include <string_view>
+
+#include "warp/common/flags.h"
 
 namespace warp {
 namespace cluster {
@@ -25,14 +27,8 @@ std::vector<std::string> WorkerCommand(const std::string& worker_binary,
 bool ParseReadyPort(const std::string& line, int* port) {
   static const char kPrefix[] = "ready port=";
   if (line.compare(0, sizeof(kPrefix) - 1, kPrefix) != 0) return false;
-  const std::string digits = line.substr(sizeof(kPrefix) - 1);
-  if (digits.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(digits.c_str(), &end, 10);
-  if (end == digits.c_str() || *end != '\0') return false;
-  if (value <= 0 || value > 65535) return false;
-  *port = static_cast<int>(value);
-  return true;
+  return ReadNumber(std::string_view(line).substr(sizeof(kPrefix) - 1), 1,
+                    65535, port);
 }
 
 bool WorkerClient::Connect(int port, int timeout_ms, std::string* error) {

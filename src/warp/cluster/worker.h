@@ -38,8 +38,8 @@ struct WorkerSpec {
 std::vector<std::string> WorkerCommand(const std::string& worker_binary,
                                        const WorkerSpec& spec);
 
-// Parses a "ready port=<P>" stdout line. Returns false when `line` is
-// not a readiness line.
+// Parses a "ready port=<P>" stdout line, P a whole integer from 1 to
+// 65535. Returns false when `line` is not such a line.
 bool ParseReadyPort(const std::string& line, int* port);
 
 // A single-connection wire client for one worker process. Not

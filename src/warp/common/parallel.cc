@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <memory>
 #include <utility>
 
+#include "warp/common/flags.h"
 #include "warp/common/stopwatch.h"
 #include "warp/common/metrics.h"
 
 namespace warp {
 
 size_t DefaultThreadCount() {
-  if (const char* env = std::getenv("WARP_THREADS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && value > 0) return static_cast<size_t>(value);
+  int value = 0;
+  if (const char* env = std::getenv("WARP_THREADS");
+      env != nullptr && ReadNumber(env, 1, INT_MAX, &value)) {
+    return static_cast<size_t>(value);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

@@ -32,7 +32,8 @@
 namespace warp {
 
 // Worker count used when a caller asks for "auto" (threads == 0): the
-// WARP_THREADS environment variable if set to a positive integer, else
+// WARP_THREADS environment variable if it is a whole integer from 1 to
+// INT_MAX (the range of every --threads), else
 // std::thread::hardware_concurrency(), else 1.
 size_t DefaultThreadCount();
 

@@ -68,14 +68,18 @@ double CdtwDistance(std::span<const double> x, std::span<const double> y,
   });
 }
 
+size_t BandFromFraction(double fraction, size_t length) {
+  return static_cast<size_t>(
+      std::llround(fraction * static_cast<double>(length)));
+}
+
 double CdtwDistanceFraction(std::span<const double> x,
                             std::span<const double> y, double fraction,
                             CostKind cost, DtwWorkspace* buffer) {
   WARP_CHECK(fraction >= 0.0);
-  const size_t longest = std::max(x.size(), y.size());
-  const size_t band = static_cast<size_t>(
-      std::llround(fraction * static_cast<double>(longest)));
-  return CdtwDistance(x, y, band, cost, buffer);
+  return CdtwDistance(x, y,
+                      BandFromFraction(fraction, std::max(x.size(), y.size())),
+                      cost, buffer);
 }
 
 double CdtwDistanceAbandoning(std::span<const double> x,

@@ -64,6 +64,12 @@ DtwResult Dtw(std::span<const double> x, std::span<const double> y,
 // the *Fraction forms take the paper's w as a fraction of the longer
 // length (e.g. 0.05 for w = 5%).
 
+// The band of a window `fraction` of `length` points: fraction × length
+// rounded to the nearest cell, halves away from zero. The one
+// fraction-to-band rule: the server indexes envelopes at the bands a
+// query's window later resolves to, so the two must agree exactly.
+size_t BandFromFraction(double fraction, size_t length);
+
 double CdtwDistance(std::span<const double> x, std::span<const double> y,
                     size_t band, CostKind cost = CostKind::kSquared,
                     DtwBuffer* buffer = nullptr, uint64_t* cells = nullptr);

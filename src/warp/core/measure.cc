@@ -1,7 +1,6 @@
 #include "warp/core/measure.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "warp/common/assert.h"
 #include "warp/core/adtw.h"
@@ -16,9 +15,7 @@ namespace warp {
 
 size_t ResolveBand(const MeasureParams& p, size_t n, size_t m) {
   if (p.band_cells >= 0) return static_cast<size_t>(p.band_cells);
-  const size_t longest = std::max(n, m);
-  return static_cast<size_t>(
-      std::llround(p.window_fraction * static_cast<double>(longest)));
+  return BandFromFraction(p.window_fraction, std::max(n, m));
 }
 
 namespace {

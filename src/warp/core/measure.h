@@ -29,8 +29,7 @@ namespace warp {
 struct MeasureParams {
   // Sakoe–Chiba band for cdtw/ddtw/lcss (and wdtw unless full-band).
   // band_cells >= 0 wins; otherwise the band is
-  // llround(window_fraction * max(n, m)) per pair — the same rounding as
-  // CdtwDistanceFraction.
+  // BandFromFraction(window_fraction, max(n, m)) per pair (core/dtw.h).
   double window_fraction = 0.1;
   long band_cells = -1;
 
@@ -52,9 +51,8 @@ struct MeasureParams {
 };
 
 // The Sakoe–Chiba half-width `params` gives a pair of lengths n and m:
-// band_cells when it is set, otherwise the same llround-of-fraction rule
-// as CdtwDistanceFraction. Every banded closure and the serve cascade use
-// this one rule.
+// band_cells when it is set, otherwise BandFromFraction of the longer
+// length. Every banded closure and the serve cascade use this one rule.
 size_t ResolveBand(const MeasureParams& params, size_t n, size_t m);
 
 struct MeasureInfo {

@@ -443,24 +443,6 @@ void BenchFlagWiringRule(const ProjectContext& context,
     }
     if (harness_line == 0) continue;  // Not on the shared flag harness.
 
-    // --threads may be consumed via the shared helpers or, for harnesses
-    // with a documented non-default default, a direct GetInt("threads") or
-    // GetCount("threads").
-    bool threads = ContainsCall(file, "ThreadsFlag") ||
-                   ContainsCall(file, "SingleCoreThreadsFlag");
-    const std::vector<Token>& tokens = file.tokens;
-    for (size_t i = 0; !threads && i + 2 < tokens.size(); ++i) {
-      if ((IsCallOf(tokens, i, "GetInt") || IsCallOf(tokens, i, "GetCount")) &&
-          tokens[i + 2].kind == TokenKind::kString &&
-          tokens[i + 2].text == "threads") {
-        threads = true;
-      }
-    }
-    if (!threads) {
-      Add(findings, "bench-flag-wiring", file.path, harness_line, 1,
-          "bench binary does not wire --threads (ThreadsFlag / "
-          "SingleCoreThreadsFlag / GetCount(\"threads\", ...))");
-    }
     if (!ContainsCall(file, "JsonFlag")) {
       Add(findings, "bench-flag-wiring", file.path, harness_line, 1,
           "bench binary does not wire --json (JsonFlag)");
@@ -511,8 +493,8 @@ const std::vector<ProjectRule> kProjectRules = {
      "parity suites",
      MeasureCoverageRule},
     {"bench-flag-wiring",
-     "every bench on the shared harness wires --threads/--json/--simd and "
-     "finalizes flags; every tool on warp::Flags finalizes them",
+     "every bench on the shared harness wires --json/--simd and finalizes "
+     "flags; every tool on warp::Flags finalizes them",
      BenchFlagWiringRule},
     {"test-registration",
      "every tests/**/*_test.cc is registered in tests/CMakeLists.txt",

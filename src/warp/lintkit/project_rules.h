@@ -22,9 +22,9 @@
 //                       enumerates RegisteredMeasures() or names every
 //                       measure explicitly).
 //   bench-flag-wiring   every bench binary on the shared flag harness
-//                       wires --threads, --json, and --simd, and calls
-//                       Finalize() so typos fail fast; so does every
-//                       tools/ file that includes warp/common/flags.h.
+//                       wires --json and --simd, and calls Finalize() so
+//                       typos fail fast; so does every tools/ file that
+//                       includes warp/common/flags.h.
 //   test-registration   every tests/**/*_test.cc is registered in
 //                       tests/CMakeLists.txt (no orphan suites).
 

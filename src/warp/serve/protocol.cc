@@ -27,6 +27,17 @@ bool ReadIntegerMember(const JsonValue& object, const std::string& key,
 
 constexpr char kUnsigned[] = "a non-negative integer";
 
+// A reply member FormatResponse always writes: a reply without it is
+// refused, so a gather never merges a missing count or index as 0.
+template <typename T>
+bool ReadRequiredInteger(const JsonValue& object, const std::string& key,
+                         const char* what, T* value, std::string* error) {
+  const JsonValue* member = object.Find(key);
+  if (member != nullptr && ReadInteger(*member, value)) return true;
+  *error = "'" + key + "' must be " + what;
+  return false;
+}
+
 // A reply's distance must be present and a JSON number: FormatDouble
 // spells a non-finite value null, and a gather must not merge a missing
 // distance as 0.
@@ -407,13 +418,20 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
     *error = "response has unknown op: '" + op + "'";
     return false;
   }
-  out->partial = root.BoolOr("partial", false);
-  if (!ReadIntegerMember(root, "scanned", kUnsigned, &out->scanned, error) ||
-      !ReadIntegerMember(root, "total", kUnsigned, &out->total, error)) {
+  const JsonValue* partial = root.Find("partial");
+  if (partial == nullptr || !partial->is_bool()) {
+    *error = "'partial' must be true or false";
     return false;
   }
-  if (const JsonValue* neighbors = root.Find("neighbors")) {
-    if (!neighbors->is_array()) {
+  out->partial = partial->AsBool();
+  if (!ReadRequiredInteger(root, "scanned", kUnsigned, &out->scanned,
+                           error) ||
+      !ReadRequiredInteger(root, "total", kUnsigned, &out->total, error)) {
+    return false;
+  }
+  if (IsScanOp(out->op)) {
+    const JsonValue* neighbors = root.Find("neighbors");
+    if (neighbors == nullptr || !neighbors->is_array()) {
       *error = "'neighbors' must be an array";
       return false;
     }
@@ -424,22 +442,26 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
         return false;
       }
       Neighbor neighbor;
-      if (!ReadIntegerMember(entry, "index", kUnsigned, &neighbor.index,
-                             error) ||
-          !ReadIntegerMember(entry, "label", "an integer", &neighbor.label,
-                             error) ||
+      if (!ReadRequiredInteger(entry, "index", kUnsigned, &neighbor.index,
+                               error) ||
+          !ReadRequiredInteger(entry, "label", "an integer", &neighbor.label,
+                               error) ||
           !ReadDistanceMember(entry, &neighbor.distance, error)) {
         return false;
       }
       out->neighbors.push_back(neighbor);
     }
-  }
-  if (!IsScanOp(out->op) &&
-      !ReadDistanceMember(root, &out->distance, error)) {
+  } else if (!ReadDistanceMember(root, &out->distance, error)) {
     return false;
   }
-  if (!ReadIntegerMember(root, "position", kUnsigned, &out->position,
-                         error)) {
+  // Only a subsequence reply carries a position; a bad one fails any reply.
+  if (out->op == QueryOp::kSubsequence) {
+    if (!ReadRequiredInteger(root, "position", kUnsigned, &out->position,
+                             error)) {
+      return false;
+    }
+  } else if (!ReadIntegerMember(root, "position", kUnsigned, &out->position,
+                                error)) {
     return false;
   }
   if (const JsonValue* missing = root.Find("shards_missing")) {

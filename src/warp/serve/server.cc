@@ -1,9 +1,9 @@
 #include "warp/serve/server.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
+#include "warp/core/dtw.h"
 #include "warp/obs/json_writer.h"
 #include "warp/serve/batcher.h"
 #include "warp/serve/front_end.h"
@@ -26,8 +26,7 @@ std::vector<size_t> BandsFromFractions(const std::vector<double>& fractions,
   if (length == 0) return bands;
   bands.reserve(fractions.size());
   for (double fraction : fractions) {
-    bands.push_back(
-        static_cast<size_t>(std::lround(fraction * static_cast<double>(length))));
+    bands.push_back(BandFromFraction(fraction, length));
   }
   return bands;
 }

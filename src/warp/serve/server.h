@@ -44,7 +44,7 @@ struct ServerOptions {
 
   // Sakoe-Chiba fractions (each from 0 to 1) indexed at dataset
   // registration: each becomes a per-series envelope set at
-  // band = round(fraction * length).
+  // band = BandFromFraction(fraction, length) (core/dtw.h).
   std::vector<double> band_fractions = {0.05, 0.1};
 };
 

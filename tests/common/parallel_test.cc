@@ -16,14 +16,18 @@ namespace warp {
 namespace {
 
 TEST(DefaultThreadCountTest, HonorsWarpThreadsEnv) {
+  unsetenv("WARP_THREADS");
+  const size_t fallback = DefaultThreadCount();  // The hardware count.
+  EXPECT_GE(fallback, 1u);
   setenv("WARP_THREADS", "3", 1);
   EXPECT_EQ(DefaultThreadCount(), 3u);
-  setenv("WARP_THREADS", "not-a-number", 1);
-  EXPECT_GE(DefaultThreadCount(), 1u);  // Falls back to hardware count.
-  setenv("WARP_THREADS", "-2", 1);
-  EXPECT_GE(DefaultThreadCount(), 1u);
+  // Anything but a whole integer from 1 to INT_MAX falls back.
+  for (const char* value :
+       {"not-a-number", "-2", "4x", "2.5", "99999999999999999999"}) {
+    setenv("WARP_THREADS", value, 1);
+    EXPECT_EQ(DefaultThreadCount(), fallback) << value;
+  }
   unsetenv("WARP_THREADS");
-  EXPECT_GE(DefaultThreadCount(), 1u);
 }
 
 TEST(ResolveThreadCountTest, ZeroMeansAuto) {

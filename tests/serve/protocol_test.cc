@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,39 +201,70 @@ TEST(ProtocolTest, IntegerFieldsAreExactTo64Bits) {
 }
 
 // The response-side twin: worker replies the router gathers go through
-// the same checked reader, so a corrupt reply is an error (the router
-// then counts that shard as missing) instead of a wrapped index.
+// the same checked reader, so a corrupt or incomplete reply is an error
+// (the router then counts that shard as missing) instead of a wrapped
+// index or a missing field read as 0.
 TEST(ProtocolTest, RejectsBadResponseFields) {
   ServeResponse response;
   std::string error;
+  // Every field an ok knn reply carries; each tail below adds a bad field
+  // or replaces a good one (the last of a repeated key wins).
   const std::string head =
-      R"({"id": 1, "ok": true, "op": "knn", "partial": false,)";
+      R"({"id": 1, "ok": true, "op": "knn", "partial": false, "scanned": 1,)"
+      R"( "total": 1, "neighbors": [],)";
   ASSERT_TRUE(ParseResponseLine(
-      head + R"( "scanned": 1, "total": 1, "neighbors":)"
-             R"( [{"index": 3, "label": -2, "distance": 0.5}]})",
+      head + R"( "neighbors": [{"index": 3, "label": -2, "distance": 0.5}]})",
       &response, &error))
       << error;
   EXPECT_EQ(response.neighbors[0].index, 3u);
   EXPECT_EQ(response.neighbors[0].label, -2);
-  for (const std::string tail :
-       {R"( "neighbors": [{"index": -1, "label": 0, "distance": 1}]})",
-        R"( "neighbors": [{"index": 1e300, "label": 0, "distance": 1}]})",
-        R"( "neighbors": [{"index": 1, "label": 3e9, "distance": 1}]})",
-        R"( "neighbors": [{"index": 1, "label": 0.5, "distance": 1}]})",
-        R"( "neighbors": [{"index": 3, "label": 1}]})",
-        R"( "neighbors": [{"index": 3, "label": 1, "distance": "1"}]})",
-        R"( "neighbors": [{"index": 3, "label": 1, "distance": null}]})",
-        R"( "scanned": 1e300})", R"( "total": -4})", R"( "position": 2.5})",
-        R"( "shards_missing": [1.5]})", R"( "shards_missing": [-1]})"}) {
+  const std::vector<std::pair<std::string, std::string>> bad_lines = {
+      {head + R"( "neighbors": [{"index": -1, "label": 0, "distance": 1}]})",
+       "index"},
+      {head + R"( "neighbors": [{"index": 1e300, "label": 0, "distance": 1}]})",
+       "index"},
+      {head + R"( "neighbors": [{"index": 1, "label": 3e9, "distance": 1}]})",
+       "label"},
+      {head + R"( "neighbors": [{"index": 1, "label": 0.5, "distance": 1}]})",
+       "label"},
+      {head + R"( "neighbors": [{"index": 3, "label": 1}]})", "distance"},
+      {head + R"( "neighbors": [{"index": 3, "label": 1, "distance": "1"}]})",
+       "distance"},
+      {head + R"( "neighbors": [{"index": 3, "label": 1, "distance": null}]})",
+       "distance"},
+      {head + R"( "neighbors": [{"label": 1, "distance": 1}]})", "index"},
+      {head + R"( "neighbors": [{"index": 3, "distance": 1}]})", "label"},
+      {head + R"( "scanned": 1e300})", "scanned"},
+      {head + R"( "total": -4})", "total"},
+      {head + R"( "position": 2.5})", "position"},
+      {head + R"( "partial": 1})", "partial"},
+      {head + R"( "shards_missing": [1.5]})", "shards_missing"},
+      {head + R"( "shards_missing": [-1]})", "shards_missing"},
+      // Replies missing a field FormatResponse always writes.
+      {R"({"id": 1, "ok": true, "op": "knn", "partial": false,)"
+       R"( "neighbors": []})",
+       "scanned"},
+      {R"({"id": 1, "ok": true, "op": "knn", "partial": false,)"
+       R"( "scanned": 1, "total": 1})",
+       "neighbors"},
+      {R"({"id": 1, "ok": true, "op": "knn", "scanned": 1, "total": 1,)"
+       R"( "neighbors": []})",
+       "partial"},
+      {R"({"id": 1, "ok": true, "op": "dist", "partial": false,)"
+       R"( "scanned": 1, "total": 1})",
+       "distance"},
+      {R"({"id": 1, "ok": true, "op": "subsequence", "partial": false,)"
+       R"( "scanned": 1, "total": 1, "distance": 1})",
+       "position"},
+  };
+  for (const auto& [line, field] : bad_lines) {
     ServeResponse bad;
-    EXPECT_FALSE(ParseResponseLine(head + tail, &bad, &error)) << tail;
+    EXPECT_FALSE(ParseResponseLine(line, &bad, &error)) << line;
+    EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
+        << line << ": " << error;
   }
   EXPECT_FALSE(ParseResponseLine(R"({"id": 1e300, "ok": false})", &response,
                                  &error));
-  // A dist reply without its distance.
-  EXPECT_FALSE(ParseResponseLine(
-      R"({"id": 1, "ok": true, "op": "dist", "scanned": 1, "total": 1})",
-      &response, &error));
 }
 
 // The property the result cache and loopback golden tests rely on:

@@ -17,6 +17,7 @@
 
 #include "warp/cluster/proc.h"
 #include "warp/cluster/worker.h"
+#include "warp/core/dtw.h"
 #include "warp/core/measure.h"
 #include "warp/gen/random_walk.h"
 #include "warp/obs/json_writer.h"
@@ -34,11 +35,12 @@ constexpr size_t kLength = 48;
 // A running in-process server plus one connected client.
 class LiveServer {
  public:
-  explicit LiveServer(size_t threads) {
+  explicit LiveServer(size_t threads,
+                      std::vector<double> band_fractions = {0.1}) {
     ServerOptions options;
     options.threads = threads;
     options.cache_capacity = 64;
-    options.band_fractions = {0.1};
+    options.band_fractions = std::move(band_fractions);
     server_ = std::make_unique<Server>(std::move(options));
     server_->RegisterDataset("d", gen::RandomWalkDataset(kSeries, kLength, 3));
     std::string error;
@@ -150,7 +152,7 @@ TEST(ServerLoopbackTest, GoldenRoundTripMatchesDirectLibraryCall) {
 }
 
 TEST(ServerLoopbackTest, ControlOpsAnswerInline) {
-  LiveServer live(1);
+  LiveServer live(1, ServerOptions{}.band_fractions);
   const std::vector<JsonValue> responses = live.RoundTrip({
       R"({"id": 1, "op": "ping"})",
       R"({"id": 2, "op": "info", "dataset": "d"})",
@@ -164,6 +166,15 @@ TEST(ServerLoopbackTest, ControlOpsAnswerInline) {
             static_cast<double>(kSeries));
   EXPECT_EQ(responses[1].NumberOr("length", -1),
             static_cast<double>(kLength));
+  // The default fractions are indexed at exactly the bands a query's
+  // window resolves to, or the cascade would find no envelope for them.
+  const JsonValue* bands = responses[1].Find("bands");
+  ASSERT_NE(bands, nullptr);
+  ASSERT_EQ(bands->AsArray().size(), 2u);
+  EXPECT_EQ(bands->AsArray()[0].AsNumber(),
+            static_cast<double>(BandFromFraction(0.05, kLength)));
+  EXPECT_EQ(bands->AsArray()[1].AsNumber(),
+            static_cast<double>(BandFromFraction(0.1, kLength)));
   EXPECT_FALSE(responses[2].BoolOr("ok", true));
   EXPECT_TRUE(responses[3].BoolOr("ok", false));
   EXPECT_NE(responses[3].Find("counters"), nullptr);
@@ -320,6 +331,19 @@ TEST(ServerLoopbackTest, DescriptorExhaustionDoesNotEndTheAcceptLoop) {
   if (child.running()) {
     child.Kill(SIGKILL);
     child.Reap();
+  }
+}
+
+// The supervisor learns a worker's port from this ready line; anything
+// but a whole port from 1 to 65535 is not one.
+TEST(ServerLoopbackTest, ReadyLineNamesAWholePort) {
+  int port = 0;
+  ASSERT_TRUE(cluster::ParseReadyPort("ready port=8080", &port));
+  EXPECT_EQ(port, 8080);
+  for (const char* line :
+       {"ready port= 80", "ready port=+80", "ready port=80x", "ready port=0",
+        "ready port=65536", "ready port=", "ready 80"}) {
+    EXPECT_FALSE(cluster::ParseReadyPort(line, &port)) << line;
   }
 }
 

@@ -27,6 +27,9 @@ namespace {
 #ifndef WARP_SERVE_PATH
 #error "WARP_SERVE_PATH must be defined"
 #endif
+#ifndef WARP_CLUSTER_PATH
+#error "WARP_CLUSTER_PATH must be defined"
+#endif
 
 std::string RunCommand(const std::string& command, int* exit_code) {
   const std::string full = command + " 2>/dev/null";
@@ -237,24 +240,6 @@ TEST_F(CliTest, MeasuresJsonListsTheRegistry) {
   }
 }
 
-// A numeric serving flag that is not a whole integer in range exits 2
-// before any input is touched; the missing input would exit 1 instead.
-TEST_F(CliTest, ServeRejectsNonNumericThreads) {
-  int code = 0;
-  RunCommand(std::string(WARP_CLI_PATH) +
-                 " serve --threads=abc --data=x=/nonexistent",
-             &code);
-  EXPECT_EQ(code, 2);
-}
-
-TEST_F(CliTest, ClusterRejectsOutOfRangePort) {
-  int code = 0;
-  RunCommand(std::string(WARP_CLI_PATH) +
-                 " cluster --port=70000 --worker-bin=/nonexistent",
-             &code);
-  EXPECT_EQ(code, 2);
-}
-
 // Bad flags are usage errors: each exits 2 before any work, naming the
 // flag, instead of running another window, hanging or aborting.
 TEST_F(CliTest, BadCliFlagsExitTwo) {
@@ -267,6 +252,8 @@ TEST_F(CliTest, BadCliFlagsExitTwo) {
   ExpectBadFlag(std::string(WARP_CLI_PATH) + " classify " + dir_ +
                     "/train.tsv " + dir_ + "/test.tsv --auto-window=-3",
                 "auto-window");
+  // `cluster` is hierarchical clustering only; the launcher is warp_cluster.
+  ExpectBadFlag(std::string(WARP_CLI_PATH) + " cluster --shards=2", "shards");
 }
 
 // Series a measure cannot compare (different lengths for a measure that
@@ -311,12 +298,23 @@ TEST_F(CliTest, BadRunnerAndServerFlagsExitTwo) {
   ExpectBadFlag(std::string(WARP_SERVE_PATH) +
                     " --gen=rw=20,64,seven --data=x=/nonexistent",
                 "gen");
+  // A numeric serving flag that is not a whole integer in range exits 2
+  // before any input is touched; the missing input would exit 1 instead.
+  ExpectBadFlag(std::string(WARP_SERVE_PATH) +
+                    " --threads=abc --data=x=/nonexistent",
+                "threads");
+  ExpectBadFlag(std::string(WARP_CLUSTER_PATH) +
+                    " --port=70000 --worker-bin=/nonexistent",
+                "port");
 }
 
 TEST_F(CliTest, BadBenchFlagExitsTwo) {
 #ifdef WARP_BENCH_TRILLION_PATH
   ExpectBadFlag(std::string(WARP_BENCH_TRILLION_PATH) + " --haystack=2e4",
                 "haystack");
+  // A single-core harness takes no --threads.
+  ExpectBadFlag(std::string(WARP_BENCH_TRILLION_PATH) + " --threads=2",
+                "threads");
 #else
   GTEST_SKIP() << "benchmarks not built";
 #endif
@@ -326,6 +324,12 @@ TEST_F(CliTest, UnknownCommandFails) {
   int code = 0;
   RunCommand(std::string(WARP_CLI_PATH) + " frobnicate", &code);
   EXPECT_NE(code, 0);
+  // The server's and the launcher's one front doors are warp_serve and
+  // warp_cluster: `serve` is unknown, and `cluster` needs a dataset.
+  ExpectFailure(std::string(WARP_CLI_PATH) + " serve", 1,
+                "unknown command: serve");
+  ExpectFailure(std::string(WARP_CLI_PATH) + " cluster", 1,
+                "cluster needs a dataset file");
 }
 
 TEST_F(CliTest, UcrRunnerProducesRow) {

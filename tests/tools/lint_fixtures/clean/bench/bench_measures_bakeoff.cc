@@ -2,11 +2,9 @@
 
 int main(int argc, char** argv) {
   warp::bench::Flags flags(argc, argv);
-  const size_t threads = SingleCoreThreadsFlag(flags);
   const bool json = JsonFlag(flags);
   const bool simd = SimdFlag(flags);
   flags.Finalize();
-  (void)threads;
   (void)json;
   (void)simd;
   for (const auto& measure : RegisteredMeasures()) (void)measure;

@@ -199,7 +199,7 @@ const RuleFixture kRuleFixtures[] = {
     {"bad_counter", "obs-counter-xref", 2, 2},
     {"bad_histogram", "obs-counter-xref", 4, 4},
     {"bad_measure", "measure-coverage", 3, 3},
-    {"bad_benchflag", "bench-flag-wiring", 3, 3},
+    {"bad_benchflag", "bench-flag-wiring", 2, 2},
     {"bad_flag_parse", "flag-containment", 3, 3},
     {"bad_testreg", "test-registration", 1, 1},
     {"bad_pragma", "pragma-hygiene", 5, 6},

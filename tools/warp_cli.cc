@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster_main.h"
-#include "serve_main.h"
 #include "warp/common/flags.h"
 #include "warp/common/statistics.h"
 #include "warp/common/stopwatch.h"
@@ -82,26 +80,14 @@ COMMANDS
     --threads=N       worker threads for the distance-matrix build
                       (default 1; 0 = all cores / WARP_THREADS)
 
-  cluster             Without a dataset file: launch the multi-process
-                      serving cluster (supervisor + router; answers are
-                      bitwise-identical to `serve --shards=N`). Same
-                      flags as warp_cluster: --shards --snapshot-dir
-                      --port --threads --cache --max-queue-depth
-                      --worker-bin (docs/SERVING.md, "Multi-process
-                      cluster")
-
   info <data.tsv>     Dataset summary (sizes, classes, length stats).
 
   measures            List every registered measure with a one-line
                       summary (the registry in warp/core/measure.h).
     --json            machine-readable JSON array instead of the table
 
-  serve               Run the loopback query server (docs/SERVING.md).
-                      Same flags as warp_serve: --port --threads --shards
-                      --cache --bands --data=NAME=PATH
-                      --gen=NAME=COUNT,LEN[,SEED] --snapshot-dir=PATH
-
-  query               Talk to a running server.
+  query               Talk to a running warp_serve or warp_cluster
+                      (docs/SERVING.md).
     --port=N          server port (required; scrape the listening line)
     --op=OP           1nn | knn | range | dist | subsequence | ping |
                       info | stats | metrics | slowlog | telemetry | load |
@@ -289,7 +275,8 @@ int CmdClassify(Flags& flags) {
   return 0;
 }
 
-int CmdCluster(Flags& flags, const std::vector<std::string>& files) {
+int CmdCluster(Flags& flags) {
+  const std::vector<std::string> files = flags.Positionals();
   const double window = flags.GetDouble("window", 0.1, 0.0, 1.0);
   const std::string measure = MeasureFlag(flags);
   const size_t radius = flags.GetCount("radius", 10);
@@ -308,8 +295,6 @@ int CmdCluster(Flags& flags, const std::vector<std::string>& files) {
     labels.push_back(std::to_string(i) + ":" +
                      std::to_string(dataset[i].label()));
   }
-  // The registry's fraction mode uses the same llround rule as
-  // CdtwDistanceFraction, so banded measures resolve their band per pair.
   MeasureParams params;
   params.window_fraction = window;
   params.fastdtw_radius = radius;
@@ -380,7 +365,7 @@ int CmdMeasures(Flags& flags) {
   return 0;
 }
 
-// Talks to a running warp_serve instance over loopback TCP. Two modes:
+// Talks to a running warp_serve or warp_cluster over loopback TCP. Two modes:
 // with --op, builds one request line from flags and prints the response;
 // without, forwards stdin request lines verbatim (sent as one write, so a
 // multi-line file exercises the server's pipeline batching) and prints
@@ -507,19 +492,10 @@ int Main(int argc, char** argv) {
   if (command == "dist") status = CmdDist(flags);
   else if (command == "search") status = CmdSearch(flags);
   else if (command == "classify") status = CmdClassify(flags);
-  else if (command == "cluster") {
-    // `cluster` is dual-mode: with a positional dataset file it is
-    // hierarchical clustering; flags-only it launches the multi-process
-    // serving cluster (tools/cluster_main.h).
-    const std::vector<std::string> files = flags.Positionals();
-    status = files.empty() ? tools::ClusterToolMain(
-                                 flags, tools::SiblingWorkerBinary(argv[0]))
-                           : CmdCluster(flags, files);
-  }
+  else if (command == "cluster") status = CmdCluster(flags);
   else if (command == "info") status = CmdInfo(flags);
   else if (command == "measures") status = CmdMeasures(flags);
   else if (command == "query") status = CmdQuery(flags);
-  else if (command == "serve") status = tools::ServeToolMain(flags);
   else Fail("unknown command: " + command + " (try `warp_cli help`)");
   if (profile) {
     PrintProfile(obs::CountersSince(before),
