@@ -157,19 +157,27 @@ int Main(int argc, char** argv) {
   cdtw_table.Print();
 
   // (c) Multi-core all-pairs throughput: the same comparisons fanned out
-  // over a thread pool. The checksum column verifies the parallel sweep
-  // computed bitwise-identical distances; a mismatch fails the run.
+  // over a thread pool, recorded as cases `<case>_t1` and `<case>_tN`. The
+  // checksum column verifies the parallel sweep computed
+  // bitwise-identical distances; a mismatch fails the run.
   if (threads > 1) {
     std::printf("\n(c) parallel all-pairs throughput (--threads=%zu)\n",
                 threads);
     bool checksums_equal = true;
     TablePrinter par_table({"measure", "1-thread us/cmp",
                             "N-thread us/cmp", "speedup", "checksums"});
-    const auto report = [&](const char* name, const auto& factory) {
+    const auto time_parallel = [&](const std::string& name,
+                                   const std::string& case_name,
+                                   const auto& factory) {
+      obs::MetricsSnapshot before = obs::SnapshotCounters();
       const PairwiseTiming serial =
           TimeAllPairsParallel(dataset, exemplars, 1, factory);
+      record_pairwise(case_name + "_t1", serial, before);
+      before = obs::SnapshotCounters();
       const PairwiseTiming parallel =
           TimeAllPairsParallel(dataset, exemplars, threads, factory);
+      record_pairwise(case_name + "_t" + std::to_string(threads), parallel,
+                      before);
       checksums_equal &= serial.checksum == parallel.checksum;
       par_table.AddRow(
           {name, TablePrinter::FormatDouble(serial.micros_per_pair(), 1),
@@ -181,16 +189,18 @@ int Main(int argc, char** argv) {
            serial.checksum == parallel.checksum ? "bitwise-equal"
                                                 : "MISMATCH"});
     };
-    const std::string cdtw_name = "cDTW_" + std::to_string(max_setting);
-    report(cdtw_name.c_str(), [max_setting]() {
-             auto buffer = std::make_shared<DtwBuffer>();
-             return [max_setting, buffer](std::span<const double> a,
-                                          std::span<const double> b) {
-               return CdtwDistanceFraction(a, b, max_setting / 100.0,
-                                           CostKind::kSquared, buffer.get());
-             };
-    });
-    report("FastDTW_10 (optimized)", []() {
+    const std::string max_name = std::to_string(max_setting);
+    time_parallel("cDTW_" + max_name, "parallel_cdtw_w" + max_name,
+                  [max_setting]() {
+                    auto buffer = std::make_shared<DtwBuffer>();
+                    return [max_setting, buffer](std::span<const double> a,
+                                                 std::span<const double> b) {
+                      return CdtwDistanceFraction(a, b, max_setting / 100.0,
+                                                  CostKind::kSquared,
+                                                  buffer.get());
+                    };
+                  });
+    time_parallel("FastDTW_10 (optimized)", "parallel_fastdtw_opt_r10", []() {
       return [](std::span<const double> a, std::span<const double> b) {
         return FastDtwDistance(a, b, 10);
       };

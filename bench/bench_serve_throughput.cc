@@ -48,6 +48,7 @@
 #include "warp/cluster/router.h"
 #include "warp/cluster/supervisor.h"
 #include "warp/common/stopwatch.h"
+#include "warp/core/dtw.h"
 #include "warp/gen/random_walk.h"
 #include "warp/common/metrics.h"
 #include "warp/obs/report.h"
@@ -100,8 +101,7 @@ int Run(int argc, char** argv) {
               series, length, queries, clients, threads);
 
   const Dataset data = gen::RandomWalkDataset(series, length, 42);
-  const size_t band =
-      static_cast<size_t>(window * static_cast<double>(length) + 0.5);
+  const size_t band = BandFromFraction(window, length);
   serve::DatasetStore store;
   store.Register("bench", data, {band});
 

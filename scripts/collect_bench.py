@@ -33,7 +33,8 @@ SUITE = [
     ("bench_footnote_trillion", ["--reps=20", "--haystack=20000"]),
     # Exits 1 if any cascade configuration changes a 1-NN prediction.
     ("bench_ablation", ["--train=16", "--test=8", "--reps=2"]),
-    # Exits 1 if section (c)'s parallel checksums differ from the serial.
+    # Exits 1 if section (c)'s parallel checksums differ from the serial;
+    # its timings must reach the report as cases (validate_warp_bench_v1).
     ("bench_fig1_uwave", ["--exemplars=4", "--ref-exemplars=2", "--max=4",
                           "--threads=2"]),
     ("bench_fig2_ucr", []),
@@ -126,6 +127,17 @@ def validate_warp_bench_v1(report, source):
         populated = any(case["histograms"] for case in report["cases"])
         if not populated:
             fail(f"{source}: recorded no serve histograms")
+    # Past one thread, bench_fig1_uwave's section (c) times every measure
+    # serially and on the pool; both timings must reach the report as
+    # `parallel_<measure>_t1` and `_t<threads>` cases, not only the table.
+    threads = report["config"].get("threads", 1)
+    if source == "bench_fig1_uwave" and threads > 1:
+        names = [case["name"] for case in report["cases"]]
+        for suffix in ("_t1", f"_t{threads}"):
+            if not any(name.startswith("parallel_") and name.endswith(suffix)
+                       for name in names):
+                fail(f"{source}: no section (c) case ending '{suffix}' at "
+                     f"--threads={threads}")
 
 
 def validate_google_benchmark(report, source):

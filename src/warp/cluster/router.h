@@ -13,7 +13,7 @@
 //     is invisible;
 //   * dist/subsequence go only to the owning shard
 //     (ShardRouter::Partition) and the reply is relayed field-for-field;
-//   * doubles cross the wire via FormatDouble <-> strtod, bit-for-bit.
+//   * doubles cross the wire via FormatDouble <-> from_chars, bit-for-bit.
 //
 // Degradation: while a shard's worker is down, or its reply does not
 // parse, scan queries still answer from the remaining shards with

@@ -1,13 +1,44 @@
 #include "warp/obs/json_writer.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 #include "warp/common/assert.h"
 
 namespace warp {
 namespace obs {
+
+namespace {
+
+// Appends `value` by the one double rule: the first of 15, 16 and 17
+// significant digits, in printf's %.*g form, that reads back to the same
+// value; "null" for NaN and infinities. std::to_chars' general format
+// with a precision is specified to write exactly what %.*g writes.
+void AppendDouble(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
+  char buffer[32];  // "-1.2345678901234567e-308" is the longest form.
+  char* end = buffer;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                        std::chars_format::general, precision)
+              .ptr;
+    // 17 digits always read back; only the shorter forms need the check.
+    double back = 0.0;
+    if (precision == 17 ||
+        (std::from_chars(buffer, end, back).ec == std::errc() &&
+         back == value)) {
+      break;
+    }
+  }
+  out->append(buffer, end);
+}
+
+}  // namespace
 
 JsonWriter& JsonWriter::BeginObject() {
   BeforeValue();
@@ -76,7 +107,7 @@ JsonWriter& JsonWriter::Uint(uint64_t value) {
 
 JsonWriter& JsonWriter::Double(double value) {
   BeforeValue();
-  out_ += FormatDouble(value);
+  AppendDouble(value, &out_);
   return *this;
 }
 
@@ -166,13 +197,9 @@ std::string JsonWriter::Escape(std::string_view value) {
 }
 
 std::string JsonWriter::FormatDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
+  std::string text;
+  AppendDouble(value, &text);
+  return text;
 }
 
 }  // namespace obs

@@ -2,7 +2,7 @@
 //
 // Scope: streaming write-only construction of one document. Correctness
 // over features — proper string escaping (control characters as \u00XX,
-// UTF-8 passed through), shortest round-trip double formatting, nesting
+// UTF-8 passed through), round-trip double formatting, nesting
 // validated with WARP_CHECK so a malformed emission aborts instead of
 // producing unparseable output. Non-finite doubles become null, since
 // JSON has no Inf/NaN and the DTW code uses +inf as a sentinel.
@@ -50,8 +50,10 @@ class JsonWriter {
   // `value` with JSON string escaping applied (no surrounding quotes).
   static std::string Escape(std::string_view value);
 
-  // Shortest decimal form of a finite `value` that strtod parses back to
-  // the same bits; "null" for NaN/Inf.
+  // The first of 15, 16 and 17 significant digits, in printf's %.*g
+  // form, that reads back to the same value (std::to_chars, checked with
+  // std::from_chars); "null" for NaN/Inf. Double() appends the same
+  // bytes.
   static std::string FormatDouble(double value);
 
  private:

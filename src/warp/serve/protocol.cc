@@ -38,6 +38,19 @@ bool ReadRequiredInteger(const JsonValue& object, const std::string& key,
   return false;
 }
 
+// A reply flag FormatResponse always writes: a JSON bool, never a
+// number or a string read as one.
+bool ReadRequiredBool(const JsonValue& object, const std::string& key,
+                      bool* value, std::string* error) {
+  const JsonValue* member = object.Find(key);
+  if (member != nullptr && member->is_bool()) {
+    *value = member->AsBool();
+    return true;
+  }
+  *error = "'" + key + "' must be true or false";
+  return false;
+}
+
 // A reply's distance must be present and a JSON number: FormatDouble
 // spells a non-finite value null, and a gather must not merge a missing
 // distance as 0.
@@ -408,9 +421,16 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
   if (!ReadIntegerMember(root, "id", "an integer", &out->id, error)) {
     return false;
   }
-  out->ok = root.BoolOr("ok", false);
+  if (!ReadRequiredBool(root, "ok", &out->ok, error)) return false;
   if (!out->ok) {
-    out->error = root.StringOr("error", "unknown error");
+    // An error reply is relayed to the client as it stands, so it must
+    // say what went wrong; one that does not counts its shard missing.
+    const JsonValue* message = root.Find("error");
+    if (message == nullptr || !message->is_string()) {
+      *error = "'error' must be a string";
+      return false;
+    }
+    out->error = message->AsString();
     return true;
   }
   const std::string op = root.StringOr("op", "");
@@ -418,13 +438,8 @@ bool ParseResponseLine(const std::string& line, ServeResponse* out,
     *error = "response has unknown op: '" + op + "'";
     return false;
   }
-  const JsonValue* partial = root.Find("partial");
-  if (partial == nullptr || !partial->is_bool()) {
-    *error = "'partial' must be true or false";
-    return false;
-  }
-  out->partial = partial->AsBool();
-  if (!ReadRequiredInteger(root, "scanned", kUnsigned, &out->scanned,
+  if (!ReadRequiredBool(root, "partial", &out->partial, error) ||
+      !ReadRequiredInteger(root, "scanned", kUnsigned, &out->scanned,
                            error) ||
       !ReadRequiredInteger(root, "total", kUnsigned, &out->total, error)) {
     return false;

@@ -4,9 +4,10 @@
 // matched by the client-chosen `id`. This layer converts between wire
 // lines and the typed structs in warp/serve/request.h; it never touches
 // sockets or the engine. Doubles are emitted with
-// JsonWriter::FormatDouble (shortest round-trip form) and parsed with
-// strtod, so distances survive the wire bit-for-bit — the loopback golden
-// tests compare them with EXPECT_EQ.
+// JsonWriter::FormatDouble (the first of 15, 16 and 17 significant digits
+// that reads back to the same value) and parsed with std::from_chars, so
+// distances survive the wire bit-for-bit — the loopback golden tests
+// compare them with EXPECT_EQ.
 
 #ifndef WARP_SERVE_PROTOCOL_H_
 #define WARP_SERVE_PROTOCOL_H_
@@ -93,7 +94,7 @@ bool ReadDatasetInfo(const JsonValue& reply, DatasetInfo* out);
 // Serializes a query request as one wire line, no trailing newline.
 // Every parameter ParseRequestLine reads is emitted explicitly, so
 // ParseRequestLine(FormatRequest(r)) reconstructs `r` field-for-field
-// (doubles bit-for-bit via FormatDouble <-> strtod). The cluster router
+// (doubles bit-for-bit via FormatDouble <-> from_chars). The cluster router
 // uses this to re-serialize client queries as shard-stamped sub-scans.
 std::string FormatRequest(const ServeRequest& request);
 
@@ -101,8 +102,9 @@ std::string FormatRequest(const ServeRequest& request);
 // echo) into a typed ServeResponse. The cluster router uses this to
 // gather worker sub-scan replies; distances survive bit-for-bit, so a
 // re-serialized merge is byte-identical to the single-process answer. A
-// neighbor, or a dist/subsequence reply, whose distance is missing or not
-// a number (a non-finite one is written null) is refused.
+// reply whose `ok` is not a bool, an error reply without an `error`
+// string, and a neighbor or dist/subsequence reply whose distance is
+// missing or not a number (a non-finite one is written null) are refused.
 bool ParseResponseLine(const std::string& line, ServeResponse* out,
                        std::string* error);
 

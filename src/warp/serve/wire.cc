@@ -1,8 +1,10 @@
 #include "warp/serve/wire.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace warp {
 namespace serve {
@@ -155,8 +157,8 @@ class JsonParser {
     if (c != '-' && (c < '0' || c > '9')) {
       return Fail("unexpected character");
     }
-    // strtod accepts a superset of JSON numbers (hex floats, inf, nan,
-    // leading '+'); restrict to the JSON grammar by scanning the token
+    // from_chars, like strtod, accepts more than JSON numbers (inf, nan,
+    // "1.", ".5"); restrict to the JSON grammar by scanning the token
     // first.
     size_t end = pos_;
     if (text_[end] == '-') ++end;
@@ -188,11 +190,16 @@ class JsonParser {
       }
       if (end == exp_start) return Fail("malformed number (empty exponent)");
     }
-    const std::string token(text_.substr(pos_, end - pos_));
-    char* parse_end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &parse_end);
-    if (parse_end != token.c_str() + token.size()) {
-      return Fail("malformed number");
+    const char* const first = text_.data() + pos_;
+    const char* const last = text_.data() + end;
+    double parsed = 0.0;
+    const auto [stop, status] = std::from_chars(first, last, parsed);
+    if (stop != last) return Fail("malformed number");
+    if (status == std::errc::result_out_of_range) {
+      // from_chars refuses underflow as well as overflow. The wire reads
+      // an underflow as strtod does, a signed zero or a subnormal; an
+      // overflow reads as infinity and is refused below.
+      parsed = std::strtod(std::string(first, last).c_str(), nullptr);
     }
     if (!std::isfinite(parsed)) return Fail("number out of range");
     value->kind_ = JsonValue::Kind::kNumber;

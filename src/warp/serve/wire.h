@@ -5,10 +5,12 @@
 // this is its read-side counterpart: a small recursive-descent parser for
 // one complete JSON value, dependency-free, with depth and size limits so
 // a hostile client cannot blow the stack or the heap. Numbers parse with
-// strtod, so any double emitted by JsonWriter::FormatDouble round-trips
-// to the identical bits — the property the result-cache and golden
-// serving tests rely on. Integer literals additionally keep their exact
-// 64-bit value, so ReadInteger below never rounds a counter or an id.
+// std::from_chars (an underflow reads as strtod reads it, a signed zero
+// or a subnormal), so any double emitted by JsonWriter::FormatDouble
+// round-trips to the identical bits — the property the result-cache and
+// golden serving tests rely on. Integer literals additionally keep their
+// exact 64-bit value, so ReadInteger below never rounds a counter or an
+// id.
 
 #ifndef WARP_SERVE_WIRE_H_
 #define WARP_SERVE_WIRE_H_

@@ -4,10 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
+
+#include "testing/reference_impls.h"
+#include "warp/common/random.h"
 
 namespace warp {
 namespace obs {
@@ -130,6 +137,82 @@ TEST(JsonWriterTest, NegativeZeroSurvives) {
   const std::string text = JsonWriter::FormatDouble(-0.0);
   const double parsed = std::strtod(text.c_str(), nullptr);
   EXPECT_TRUE(std::signbit(parsed));
+}
+
+// Checks FormatDouble, and Double inside an array, against the printf
+// rule byte for byte; reports the first few values that differ.
+void ExpectPrintfBytes(const std::vector<double>& values, const char* what) {
+  JsonWriter writer;
+  writer.BeginArray();
+  std::string want = "[";
+  size_t mismatches = 0;
+  for (const double value : values) {
+    const std::string expected = testing::RefFormatDouble(value);
+    const std::string got = JsonWriter::FormatDouble(value);
+    if (got != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << what << ": " << std::hexfloat << value
+                    << " formats as " << got << ", the printf rule gives "
+                    << expected;
+    }
+    writer.Double(value);
+    if (want.size() > 1) want.push_back(',');
+    want += expected;
+  }
+  writer.EndArray();
+  want.push_back(']');
+  EXPECT_EQ(mismatches, 0u) << what << ", of " << values.size();
+  EXPECT_TRUE(writer.TakeOutput() == want)
+      << what << ": JsonWriter::Double differs from the printf rule";
+}
+
+TEST(JsonWriterTest, DoublesKeepThePrintfRuleByteForByte) {
+  Rng rng(2501);
+  std::vector<double> normal(100000);
+  for (double& value : normal) value = rng.Gaussian();
+  ExpectPrintfBytes(normal, "normal draws");
+
+  std::vector<double> patterns;
+  while (patterns.size() < 100000) {
+    const uint64_t bits = rng.NextU64();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    if (std::isfinite(value)) patterns.push_back(value);
+  }
+  ExpectPrintfBytes(patterns, "random bit patterns");
+
+  std::vector<double> decades;
+  for (int exponent = -300; exponent <= 300; ++exponent) {
+    const double power = std::strtod(
+        ("1e" + std::to_string(exponent)).c_str(), nullptr);
+    decades.push_back(power);
+    for (int i = 0; i < 16; ++i) {
+      decades.push_back(rng.Uniform(1.0, 10.0) * power);
+    }
+  }
+  ExpectPrintfBytes(decades, "decimal exponents -300 to 300");
+
+  // Taking the shortest digit count first and padding it to 15 parts
+  // from the rule on 46 of these, 2^89 among them: the rule gives
+  // 6.1897001964269014e+26, the shortcut 6.189700196426901e+26.
+  std::vector<double> powers;
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    const double power = std::ldexp(1.0, exponent);
+    powers.push_back(std::nextafter(power, 0.0));
+    powers.push_back(power);
+    powers.push_back(std::nextafter(power, HUGE_VAL));
+  }
+  ExpectPrintfBytes(powers, "powers of two and their neighbours");
+
+  std::vector<double> edges = {0.0, -0.0, 5e-324, DBL_MIN, DBL_MAX, -DBL_MAX};
+  for (const double power : {1e15, 1e16, 1e17}) {
+    edges.push_back(std::nextafter(power, 0.0));
+    edges.push_back(power);
+    edges.push_back(std::nextafter(power, HUGE_VAL));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    edges.push_back(std::floor(rng.Uniform(1e15, 1e17)));
+  }
+  ExpectPrintfBytes(edges, "edge values");
 }
 
 TEST(JsonWriterDeathTest, ValueWithoutKeyInObjectAborts) {

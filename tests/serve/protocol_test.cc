@@ -4,7 +4,10 @@
 
 #include "warp/serve/protocol.h"
 
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -185,6 +188,69 @@ TEST(ProtocolTest, RejectsBadQueryFields) {
   }
 }
 
+// The wire's number edges: what each query literal reads as, bit for bit,
+// or the error that refuses it. Underflow reads as a signed zero or a
+// subnormal, as strtod gives it; overflow is refused.
+TEST(ProtocolTest, QueryNumberEdgesKeepTheirBitsAndErrors) {
+  const auto query_line = [](const std::string& literal) {
+    return R"({"op": "1nn", "dataset": "d", "query": [)" + literal + "]}";
+  };
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const struct {
+    std::string literal;
+    double value;
+  } accepted[] = {
+      {"1e-400", 0.0},
+      {"-1e-400", -0.0},
+      {"5e-324", subnormal},
+      {"2.4703282292062328e-324", subnormal},
+      {"2.4703282292062327e-324", 0.0},
+      {"0." + std::string(400, '0') + "1", 0.0},
+      {"-0", -0.0},
+      {"1E5", 100000.0},
+      {"1e+5", 100000.0},
+      {"0.1e-2", 0.001},
+      {"1.7976931348623157e308", std::numeric_limits<double>::max()},
+  };
+  for (const auto& [literal, value] : accepted) {
+    ParsedLine parsed;
+    std::string error;
+    ASSERT_TRUE(ParseRequestLine(query_line(literal), &parsed, &error))
+        << literal << ": " << error;
+    ASSERT_EQ(parsed.request.query.size(), 1u) << literal;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.request.query[0]),
+              std::bit_cast<uint64_t>(value))
+        << literal;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.request.query[0]),
+              std::bit_cast<uint64_t>(std::strtod(literal.c_str(), nullptr)))
+        << literal;
+  }
+  const std::pair<std::string, std::string> refused[] = {
+      {"1e400", "number out of range"},
+      {"-1e400", "number out of range"},
+      {"1.7976931348623159e308", "number out of range"},
+      {"1" + std::string(399, '0'), "number out of range"},
+      {"0x10", "expected ',' or ']' in array"},
+      {"+1", "unexpected character"},
+      {"inf", "unexpected character"},
+      {"nan", "invalid literal, expected 'null'"},
+      {"01", "malformed number (leading zero)"},
+      {"1.", "malformed number (empty fraction)"},
+      {".5", "unexpected character"},
+      {"-", "malformed number"},
+      {"1e", "malformed number (empty exponent)"},
+  };
+  for (const auto& [literal, message] : refused) {
+    ParsedLine parsed;
+    std::string error;
+    EXPECT_FALSE(ParseRequestLine(query_line(literal), &parsed, &error))
+        << literal;
+    EXPECT_EQ(error.rfind("malformed JSON: " + message + " at offset ", 0),
+              0u)
+        << literal << ": " << error;
+  }
+}
+
 TEST(ProtocolTest, IntegerFieldsAreExactTo64Bits) {
   ParsedLine parsed;
   std::string error;
@@ -256,6 +322,13 @@ TEST(ProtocolTest, RejectsBadResponseFields) {
       {R"({"id": 1, "ok": true, "op": "subsequence", "partial": false,)"
        R"( "scanned": 1, "total": 1, "distance": 1})",
        "position"},
+      // `ok` is a JSON bool, and an error reply carries its error text.
+      {R"({"id": 1, "op": "knn", "partial": false, "scanned": 1,)"
+       R"( "total": 1, "neighbors": []})",
+       "ok"},
+      {head + R"( "ok": 1})", "ok"},
+      {head + R"( "ok": "true"})", "ok"},
+      {R"({"id": 1, "ok": false})", "error"},
   };
   for (const auto& [line, field] : bad_lines) {
     ServeResponse bad;

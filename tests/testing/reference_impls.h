@@ -1,15 +1,19 @@
 // Independent reference implementations for differential testing.
 //
 // These are deliberately naive (full O(n*m) matrices, no rolling arrays,
-// no window tricks) so they share no code — and therefore no bugs — with
-// the optimized kernels in warp/core.
+// no window tricks; printf and strtod for numbers) so they share no code —
+// and therefore no bugs — with the optimized kernels in warp/core and the
+// wire formatter in warp/obs.
 
 #ifndef WARP_TESTS_TESTING_REFERENCE_IMPLS_H_
 #define WARP_TESTS_TESTING_REFERENCE_IMPLS_H_
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "warp/common/cost.h"
@@ -52,6 +56,19 @@ inline double RefCdtw(std::span<const double> x, std::span<const double> y,
                       size_t band, CostKind kind = CostKind::kSquared) {
   return RefWindowedDtw(
       x, y, WarpingWindow::SakoeChiba(x.size(), y.size(), band), kind);
+}
+
+// The wire's double rule (JsonWriter::FormatDouble): the first of %.15g,
+// %.16g and %.17g that strtod reads back to the same value; "null" for
+// NaN and infinities.
+inline std::string RefFormatDouble(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[40];
+  for (int precision = 15; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
+  return buffer;
 }
 
 }  // namespace testing

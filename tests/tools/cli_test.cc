@@ -1,11 +1,14 @@
 // Integration tests for the command-line tools: spawn the real binaries
 // against temp files and check their output contracts.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +187,31 @@ TEST_F(CliTest, DistProfilePrintsWorkCounters) {
   EXPECT_NE(text.find("# --- work counters ---\n"), std::string::npos)
       << text;
   EXPECT_NE(text.find("# dtw_cells "), std::string::npos) << text;
+}
+
+// The band comes from the server's rule (BandFromFraction): this window
+// times 256 is 0.5 - 2^-54, which rounds to band 0, while adding 0.5 and
+// truncating would round up to 1 (the sum rounds to 1.0).
+TEST_F(CliTest, DistBandFollowsTheServersRounding) {
+  std::vector<double> values(256);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::sin(0.05 * static_cast<double>(i));
+  }
+  WriteSeries(dir_ + "/long_a.txt", values);
+  std::reverse(values.begin(), values.end());
+  WriteSeries(dir_ + "/long_b.txt", values);
+  const std::string stderr_path = dir_ + "/band.txt";
+  const std::string command =
+      std::string(WARP_CLI_PATH) + " dist " + dir_ + "/long_a.txt " + dir_ +
+      "/long_b.txt --window=0.0019531249999999998 >/dev/null 2>" +
+      stderr_path;
+  const int status = std::system(command.c_str());
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::ifstream in(stderr_path);
+  std::ostringstream message;
+  message << in.rdbuf();
+  EXPECT_NE(message.str().find(" band=0 "), std::string::npos)
+      << message.str();
 }
 
 TEST_F(CliTest, ClassifyReportsAccuracy) {

@@ -168,12 +168,10 @@ int CmdDist(Flags& flags) {
     ZNormalizeInPlace(a.mutable_values());
     ZNormalizeInPlace(b.mutable_values());
   }
-  const size_t band = static_cast<size_t>(
-      window * static_cast<double>(std::max(a.size(), b.size())) + 0.5);
-  // Every distance-only evaluation goes through the measure registry; the
-  // explicit band_cells reproduces this command's historical half-up band
-  // rounding exactly. Path-printing stays special-cased on the four
-  // path-capable measures.
+  const size_t band = BandFromFraction(window, std::max(a.size(), b.size()));
+  // Every distance-only evaluation goes through the measure registry at
+  // this band. Path-printing stays special-cased on the four path-capable
+  // measures.
   params.band_cells = static_cast<long>(band);
 
   Stopwatch watch;
@@ -220,8 +218,7 @@ int CmdSearch(Flags& flags) {
   if (files.size() != 2) Fail("search needs haystack and query");
   const TimeSeries haystack = LoadSeriesOrDie(files[0]);
   const TimeSeries query = LoadSeriesOrDie(files[1]);
-  const size_t band = static_cast<size_t>(
-      window * static_cast<double>(query.size()) + 0.5);
+  const size_t band = BandFromFraction(window, query.size());
   SearchStats stats;
   const SubsequenceMatch match = FindBestMatch(
       haystack.view(), query.view(), band, CostKind::kSquared, &stats);
@@ -264,7 +261,7 @@ int CmdClassify(Flags& flags) {
                  band, search.best_window_percent(length),
                  search.best_accuracy);
   } else {
-    band = static_cast<size_t>(window * static_cast<double>(length) + 0.5);
+    band = BandFromFraction(window, length);
   }
   if (cap_band) band = std::min(band, max_band);
 
