@@ -7,7 +7,8 @@
 #   * a single-process `--shards=3` server restored from the same
 #     snapshots produces the golden answers for a five-op query mix
 #     (1nn / knn / range / dist / subsequence, plus a cache-hit repeat);
-#   * the cluster answers the same mix byte-identically;
+#   * the cluster answers the same mix byte-identically, also to four
+#     clients pipelining it 20 times each at once;
 #   * SIGKILLing a worker (pid scraped from the launcher's
 #     "worker shard=K pid=P" lines) yields flagged degradation — scans
 #     answer ok with partial:true and the dead shard in shards_missing —
@@ -122,6 +123,27 @@ diff "$WORK/golden.txt" "$WORK/cluster1.txt" > /dev/null \
     || fail "cluster answers diverged from single process:
 $(diff "$WORK/golden.txt" "$WORK/cluster1.txt" | head -8)"
 echo "cluster-smoke: healthy cluster byte-identical to single process"
+
+# Four clients at once, each pipelining the mix 20 times: their batches
+# overlap at the router and at every worker, and each answer must still
+# be the single process's.
+for _ in $(seq 1 20); do cat "$WORK/requests.txt"; done > "$WORK/requests20.txt"
+for _ in $(seq 1 20); do cat "$WORK/golden.txt"; done > "$WORK/golden20.txt"
+CLIENT_PIDS=""
+for c in 1 2 3 4; do
+  "$CLI" query --port="$PORT" < "$WORK/requests20.txt" \
+      > "$WORK/concurrent$c.txt" &
+  CLIENT_PIDS="$CLIENT_PIDS $!"
+done
+for pid in $CLIENT_PIDS; do
+  wait "$pid" || fail "a concurrent client's query run failed"
+done
+for c in 1 2 3 4; do
+  diff "$WORK/golden20.txt" "$WORK/concurrent$c.txt" > /dev/null \
+      || fail "concurrent client $c diverged from single process:
+$(diff "$WORK/golden20.txt" "$WORK/concurrent$c.txt" | head -8)"
+done
+echo "cluster-smoke: four concurrent clients byte-identical to single process"
 
 # --- Kill worker 1: flagged partial degradation, no hangs -------------------
 kill -KILL "$WORKER1_PID" 2> /dev/null || fail "could not SIGKILL worker 1"

@@ -1,6 +1,7 @@
 #include "warp/cluster/router.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -51,6 +52,28 @@ struct Router::Impl {
     uint64_t generation = 0;
   };
 
+  // One connection per worker, used by one client batch or control op at
+  // a time.
+  using LinkSet = std::vector<Link>;
+
+  // A link set taken from the pool for one scatter or control op and
+  // given back when the lease ends. A thread holds at most one lease: at
+  // the cap, waiting for a second while holding the first could wait
+  // forever.
+  class LinkLease {
+   public:
+    explicit LinkLease(Impl* impl) : impl_(impl), links_(impl->TakeLinks()) {}
+    ~LinkLease() { impl_->ReturnLinks(std::move(links_)); }
+    LinkLease(const LinkLease&) = delete;
+    LinkLease& operator=(const LinkLease&) = delete;
+
+    LinkSet& links() { return links_; }
+
+   private:
+    Impl* impl_;
+    LinkSet links_;
+  };
+
   // One worker's answer to a Broadcast.
   struct WorkerReply {
     bool sent = false;  // The request reached the worker.
@@ -70,7 +93,6 @@ struct Router::Impl {
   Impl(const RouterOptions& opts, Supervisor* sup)
       : options(opts),
         supervisor(sup),
-        links(sup->shards()),
         front_end(serve::FrontEndHandlers{
             [this](std::vector<ServeRequest> queries,
                    const std::vector<double>& /*parse_us*/,
@@ -81,9 +103,35 @@ struct Router::Impl {
               return HandleControl(parsed, raw);
             }}) {}
 
-  // ---- worker links (scatter_mutex held) ----
+  // ---- the link pool ----
 
-  bool LinkUp(size_t shard) {
+  // An idle link set, or a new one while fewer than kMaxWorkerLinkSets
+  // exist; otherwise waits for one to come back.
+  LinkSet TakeLinks() {
+    std::unique_lock<std::mutex> lock(pool_mutex);
+    pool_ready.wait(lock, [this] {
+      return !idle_links.empty() || open_link_sets < kMaxWorkerLinkSets;
+    });
+    if (idle_links.empty()) {
+      ++open_link_sets;
+      return LinkSet(supervisor->shards());
+    }
+    LinkSet links = std::move(idle_links.back());
+    idle_links.pop_back();
+    return links;
+  }
+
+  void ReturnLinks(LinkSet links) {
+    {
+      std::lock_guard<std::mutex> lock(pool_mutex);
+      idle_links.push_back(std::move(links));
+    }
+    pool_ready.notify_one();
+  }
+
+  // ---- worker links (one leased set) ----
+
+  bool LinkUp(LinkSet& links, size_t shard) {
     const WorkerStatus status = supervisor->Status(shard);
     Link& link = links[shard];
     if (!status.up) {
@@ -104,11 +152,12 @@ struct Router::Impl {
   // Sends `line` to every live worker, then reads one reply from each, in
   // shard order. Sending everything first lets the workers work in
   // parallel; reading every sent link keeps none of them out of step.
-  std::vector<WorkerReply> Broadcast(const std::string& line) {
+  std::vector<WorkerReply> Broadcast(LinkSet& links, const std::string& line) {
     const std::string payload = line + "\n";
     std::vector<WorkerReply> replies(links.size());
     for (size_t shard = 0; shard < links.size(); ++shard) {
-      replies[shard].sent = LinkUp(shard) && links[shard].client.Send(payload);
+      replies[shard].sent =
+          LinkUp(links, shard) && links[shard].client.Send(payload);
     }
     for (size_t shard = 0; shard < links.size(); ++shard) {
       std::vector<std::string> lines;
@@ -121,9 +170,10 @@ struct Router::Impl {
   }
 
   // First live worker that completes `line` -> one reply.
-  bool FirstWorkerRoundTrip(const std::string& line, std::string* reply) {
+  bool FirstWorkerRoundTrip(LinkSet& links, const std::string& line,
+                            std::string* reply) {
     for (size_t shard = 0; shard < links.size(); ++shard) {
-      if (!LinkUp(shard)) continue;
+      if (!LinkUp(links, shard)) continue;
       std::vector<std::string> replies;
       if (!links[shard].client.Send(line + "\n") ||
           !links[shard].client.ReadLines(1, kGatherTimeoutMs, &replies)) {
@@ -135,22 +185,28 @@ struct Router::Impl {
     return false;
   }
 
-  // ---- dataset info cache (scatter_mutex held) ----
+  // ---- dataset info cache (info_mutex) ----
 
   // Caches the dataset fields of a worker's ok `info` or `load` reply.
   bool RememberInfo(const serve::JsonValue& reply, DatasetInfo* info) {
     if (!reply.BoolOr("ok", false) || !serve::ReadDatasetInfo(reply, info)) {
       return false;
     }
+    std::lock_guard<std::mutex> lock(info_mutex);
     dataset_info[info->dataset] = *info;
     return true;
   }
 
+  // The cached info of `dataset`, else one worker's `info` reply, asked on
+  // a link set of its own: the caller must hold no lease.
   bool EnsureInfo(const std::string& dataset, DatasetInfo* info) {
-    const auto it = dataset_info.find(dataset);
-    if (it != dataset_info.end()) {
-      *info = it->second;
-      return true;
+    {
+      std::lock_guard<std::mutex> lock(info_mutex);
+      const auto it = dataset_info.find(dataset);
+      if (it != dataset_info.end()) {
+        *info = it->second;
+        return true;
+      }
     }
     obs::JsonWriter writer;
     writer.BeginObject()
@@ -159,10 +215,15 @@ struct Router::Impl {
         .Key("dataset").String(dataset)
         .EndObject();
     std::string reply;
+    {
+      LinkLease lease(this);
+      if (!FirstWorkerRoundTrip(lease.links(), writer.TakeOutput(), &reply)) {
+        return false;
+      }
+    }
     serve::JsonValue root;
     std::string error;
-    return FirstWorkerRoundTrip(writer.TakeOutput(), &reply) &&
-           serve::ParseJson(reply, &root, &error) && RememberInfo(root, info);
+    return serve::ParseJson(reply, &root, &error) && RememberInfo(root, info);
   }
 
   // ---- scatter / gather ----
@@ -171,7 +232,9 @@ struct Router::Impl {
   // (*merged)[i] for each. When `retry` is non-null, queries whose
   // sub-scans hit an epoch mismatch are appended there (with their cache
   // entry invalidated) instead of being answered; when null, the
-  // mismatch error is relayed like any other worker error.
+  // mismatch error is relayed like any other worker error. Only the send
+  // and the gather hold a link set; planning, formatting, parsing and
+  // merging overlap with other batches.
   void ScatterPass(const std::vector<ServeRequest>& requests,
                    const std::vector<size_t>& idx,
                    std::vector<ServeResponse>* merged,
@@ -183,20 +246,13 @@ struct Router::Impl {
       std::string payload;
       // (position in `idx`, position in that query's targets).
       std::vector<std::pair<size_t, size_t>> slots;
+      std::vector<std::string> lines;  // One reply per slot, or none.
     };
     std::vector<WorkerBatch> batches(shards);
-    std::vector<bool> up(shards);
-    for (size_t shard = 0; shard < shards; ++shard) up[shard] = LinkUp(shard);
-    // A worker that fails mid-stream takes its whole batch down.
-    const auto lose = [&](size_t shard) {
-      up[shard] = false;
-      for (const auto& slot : batches[shard].slots) {
-        states[slot.first].missing.push_back(shard);
-      }
-    };
 
-    // Build: stamp each sub-scan with (shard, epoch) and append it to its
-    // worker's payload. Queries keep batch order within each payload.
+    // Plan and format: stamp each sub-scan with (shard, epoch) and append
+    // it to its worker's payload. Queries keep batch order within each
+    // payload, and each query's series is formatted once for all shards.
     for (size_t q = 0; q < idx.size(); ++q) {
       const ServeRequest& request = requests[idx[q]];
       QueryState& state = states[q];
@@ -217,42 +273,51 @@ struct Router::Impl {
       state.subs.resize(state.targets.size());
       state.have.assign(state.targets.size(), false);
       WARP_COUNT(obs::Counter::kClusterScatters);
+      const serve::RequestSplice splice(request);
+      const uint64_t epoch = state.have_info ? state.info.epoch : 0;
       for (size_t t = 0; t < state.targets.size(); ++t) {
         const size_t shard = state.targets[t];
-        if (!up[shard]) {
-          state.missing.push_back(shard);
-          continue;
-        }
-        ServeRequest sub = request;
-        sub.shard_filter = static_cast<long>(shard);
-        sub.require_epoch = state.have_info ? state.info.epoch : 0;
-        batches[shard].payload += serve::FormatRequest(sub);
+        splice.AppendStamped(static_cast<long>(shard), epoch,
+                             &batches[shard].payload);
         batches[shard].payload += '\n';
         batches[shard].slots.push_back({q, t});
       }
     }
 
-    // Write all payloads first so the workers compute in parallel.
-    for (size_t shard = 0; shard < shards; ++shard) {
-      if (!up[shard] || batches[shard].slots.empty()) continue;
-      if (!links[shard].client.Send(batches[shard].payload)) lose(shard);
+    // Send and gather on one pooled link set. All payloads go out first
+    // so the workers compute in parallel; the gather reads every sent
+    // link in shard order. A worker that is down or fails mid-stream
+    // leaves its batch without replies.
+    {
+      LinkLease lease(this);
+      LinkSet& links = lease.links();
+      std::vector<bool> sent(shards, false);
+      for (size_t shard = 0; shard < shards; ++shard) {
+        if (batches[shard].slots.empty()) continue;
+        sent[shard] = LinkUp(links, shard) &&
+                      links[shard].client.Send(batches[shard].payload);
+      }
+      for (size_t shard = 0; shard < shards; ++shard) {
+        WorkerBatch& batch = batches[shard];
+        if (sent[shard] &&
+            !links[shard].client.ReadLines(batch.slots.size(),
+                                           kGatherTimeoutMs, &batch.lines)) {
+          batch.lines.clear();
+        }
+      }
     }
 
-    // Gather in pinned shard order; the survivors' answers still merge,
-    // flagged. A reply that fails to parse costs its query that shard.
+    // Parse: a shard with no replies costs every query it had; one reply
+    // that fails to parse costs its query that shard. The survivors'
+    // answers still merge, flagged.
     for (size_t shard = 0; shard < shards; ++shard) {
-      WorkerBatch& batch = batches[shard];
-      if (!up[shard] || batch.slots.empty()) continue;
-      std::vector<std::string> lines;
-      if (!links[shard].client.ReadLines(batch.slots.size(), kGatherTimeoutMs,
-                                         &lines)) {
-        lose(shard);
-        continue;
-      }
-      for (size_t j = 0; j < lines.size(); ++j) {
+      const WorkerBatch& batch = batches[shard];
+      for (size_t j = 0; j < batch.slots.size(); ++j) {
         const auto& [q, t] = batch.slots[j];
         std::string error;
-        if (serve::ParseResponseLine(lines[j], &states[q].subs[t], &error)) {
+        if (j < batch.lines.size() &&
+            serve::ParseResponseLine(batch.lines[j], &states[q].subs[t],
+                                     &error)) {
           states[q].have[t] = true;
         } else {
           states[q].missing.push_back(shard);
@@ -264,6 +329,7 @@ struct Router::Impl {
     for (size_t q = 0; q < idx.size(); ++q) {
       const size_t i = idx[q];
       if (retry != nullptr && HasEpochMismatch(states[q])) {
+        std::lock_guard<std::mutex> lock(info_mutex);
         dataset_info.erase(requests[i].dataset);
         retry->push_back(i);
         continue;
@@ -349,7 +415,6 @@ struct Router::Impl {
   // query, in order.
   void ExecuteQueries(const std::vector<ServeRequest>& requests,
                       std::vector<std::string>* out) {
-    std::lock_guard<std::mutex> lock(scatter_mutex);
     const Stopwatch gather_watch;
     std::vector<ServeResponse> merged(requests.size());
     std::vector<size_t> all(requests.size());
@@ -358,8 +423,10 @@ struct Router::Impl {
     ScatterPass(requests, all, &merged, &retry);
     if (!retry.empty()) {
       // The workers advanced past our cached epoch (a load raced this
-      // batch). Re-plan against fresh info, once; a second mismatch is
-      // relayed as the error it is.
+      // batch). Re-plan against fresh info, once, with no control op in
+      // flight, so every worker has finished that load and no other one
+      // starts; a second mismatch is relayed as the error it is.
+      std::lock_guard<std::mutex> lock(control_mutex);
       ScatterPass(requests, retry, &merged, nullptr);
     }
     WARP_HISTOGRAM_RECORD_US(obs::Histogram::kRouterGatherUs,
@@ -376,10 +443,10 @@ struct Router::Impl {
   // snapshot; a worker that does not answer, or answers garbage, is left
   // out. The per-instance sections (cache, slowlog) then sum the workers'
   // and read zero with every worker down — the schema never changes.
-  serve::Telemetry GatherTelemetry() {
+  serve::Telemetry GatherTelemetry(LinkSet& links) {
     serve::Telemetry merged = serve::SnapshotRegistries();
     merged.shards = supervisor->shards();
-    for (const WorkerReply& reply : Broadcast(kTelemetryRequest)) {
+    for (const WorkerReply& reply : Broadcast(links, kTelemetryRequest)) {
       serve::Telemetry worker;
       std::string error;
       if (serve::ParseTelemetryReply(reply.line, &worker, &error)) {
@@ -390,19 +457,29 @@ struct Router::Impl {
   }
 
   std::string HandleControl(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleInfo(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleSlowlog(const ParsedLine& parsed, const std::string& raw);
-  std::string HandleLoadLike(const ParsedLine& parsed, const std::string& raw);
+  std::string HandleInfo(LinkSet& links, const ParsedLine& parsed,
+                         const std::string& raw);
+  std::string HandleSlowlog(LinkSet& links, const ParsedLine& parsed,
+                            const std::string& raw);
+  std::string HandleLoadLike(LinkSet& links, const ParsedLine& parsed,
+                             const std::string& raw);
 
   RouterOptions options;
   Supervisor* supervisor;
 
-  // Worker links and the dataset {epoch, size} cache, both guarded by
-  // scatter_mutex: the router serializes all worker wire traffic, so a
-  // client batch scatters and gathers as one unit.
-  std::mutex scatter_mutex;
-  std::vector<Link> links;
+  // The link pool: sets not leased right now, and how many exist.
+  std::mutex pool_mutex;
+  std::condition_variable pool_ready;
+  std::vector<LinkSet> idle_links;
+  size_t open_link_sets = 0;
+
+  // The dataset {epoch, size} cache.
+  std::mutex info_mutex;
   std::map<std::string, DatasetInfo> dataset_info;
+
+  // Held across each control op, so every worker sees loads in one order,
+  // and across a batch's epoch-mismatch retry, so no load races it.
+  std::mutex control_mutex;
 
   // Last: destroyed first, joining the connection threads that use every
   // member above.
@@ -419,24 +496,26 @@ std::string Router::Impl::HandleControl(const ParsedLine& parsed,
     // failures.
     supervisor->DisableRestarts();
   }
-  std::lock_guard<std::mutex> lock(scatter_mutex);
+  std::lock_guard<std::mutex> lock(control_mutex);
+  LinkLease lease(this);
+  LinkSet& links = lease.links();
   switch (parsed.control) {
     case ControlOp::kInfo:
-      return HandleInfo(parsed, raw);
+      return HandleInfo(links, parsed, raw);
     case ControlOp::kStats:
-      return serve::FormatStatsReply(parsed.id, GatherTelemetry());
+      return serve::FormatStatsReply(parsed.id, GatherTelemetry(links));
     case ControlOp::kMetrics:
-      return serve::FormatMetricsReply(parsed.id, GatherTelemetry());
+      return serve::FormatMetricsReply(parsed.id, GatherTelemetry(links));
     case ControlOp::kTelemetry:
-      return serve::FormatTelemetryReply(parsed.id, GatherTelemetry());
+      return serve::FormatTelemetryReply(parsed.id, GatherTelemetry(links));
     case ControlOp::kSlowlog:
-      return HandleSlowlog(parsed, raw);
+      return HandleSlowlog(links, parsed, raw);
     case ControlOp::kLoad:
     case ControlOp::kLoadSnapshot:
-      return HandleLoadLike(parsed, raw);
+      return HandleLoadLike(links, parsed, raw);
     case ControlOp::kSaveSnapshot: {
       std::string reply;
-      if (!FirstWorkerRoundTrip(raw, &reply)) {
+      if (!FirstWorkerRoundTrip(links, raw, &reply)) {
         return serve::FormatErrorLine(parsed.id, "no shard workers available");
       }
       return reply;
@@ -444,7 +523,7 @@ std::string Router::Impl::HandleControl(const ParsedLine& parsed,
     case ControlOp::kShutdown:
       // The workers' acks are read (best effort) so the send is not lost
       // to a closing socket.
-      Broadcast(raw);
+      Broadcast(links, raw);
       for (Link& link : links) link.client.Disconnect();
       return serve::FormatAckLine(parsed.id, "shutdown");
     case ControlOp::kPing:
@@ -454,10 +533,10 @@ std::string Router::Impl::HandleControl(const ParsedLine& parsed,
   return serve::FormatErrorLine(parsed.id, "internal: unhandled control op");
 }
 
-std::string Router::Impl::HandleInfo(const ParsedLine& parsed,
+std::string Router::Impl::HandleInfo(LinkSet& links, const ParsedLine& parsed,
                                      const std::string& raw) {
   std::string reply;
-  if (!FirstWorkerRoundTrip(raw, &reply)) {
+  if (!FirstWorkerRoundTrip(links, raw, &reply)) {
     return serve::FormatErrorLine(parsed.id, "no shard workers available");
   }
   serve::JsonValue root;
@@ -478,11 +557,12 @@ std::string Router::Impl::HandleInfo(const ParsedLine& parsed,
                                    front_end.port());
 }
 
-std::string Router::Impl::HandleSlowlog(const ParsedLine& parsed,
+std::string Router::Impl::HandleSlowlog(LinkSet& links,
+                                        const ParsedLine& parsed,
                                         const std::string& raw) {
   uint64_t capacity = 0;
   std::vector<serve::SlowQueryRecord> entries;
-  for (const WorkerReply& reply : Broadcast(raw)) {
+  for (const WorkerReply& reply : Broadcast(links, raw)) {
     uint64_t worker_capacity = 0;
     std::vector<serve::SlowQueryRecord> worker_entries;
     std::string error;
@@ -505,7 +585,8 @@ std::string Router::Impl::HandleSlowlog(const ParsedLine& parsed,
   return serve::FormatSlowlogReply(parsed.id, capacity, entries);
 }
 
-std::string Router::Impl::HandleLoadLike(const ParsedLine& parsed,
+std::string Router::Impl::HandleLoadLike(LinkSet& links,
+                                         const ParsedLine& parsed,
                                          const std::string& raw) {
   const std::string op_name =
       parsed.control == ControlOp::kLoad ? "load" : "load_snapshot";
@@ -513,13 +594,13 @@ std::string Router::Impl::HandleLoadLike(const ParsedLine& parsed,
   // worker that misses one would refuse every stamped scan afterwards.
   // Refuse up front rather than let the cluster diverge.
   for (size_t shard = 0; shard < links.size(); ++shard) {
-    if (!LinkUp(shard)) {
+    if (!LinkUp(links, shard)) {
       return serve::FormatErrorLine(
           parsed.id, op_name + " requires every shard worker up; shard " +
                          std::to_string(shard) + " is down");
     }
   }
-  const std::vector<WorkerReply> replies = Broadcast(raw);
+  const std::vector<WorkerReply> replies = Broadcast(links, raw);
   for (size_t shard = 0; shard < replies.size(); ++shard) {
     if (!replies[shard].sent) {
       return serve::FormatErrorLine(parsed.id,

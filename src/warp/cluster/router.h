@@ -4,10 +4,22 @@
 // single-process `--shards=N` server (docs/SERVING.md, "Multi-process
 // cluster"). Connection handling is the server's own serve::FrontEnd.
 //
+// Concurrency: client batches overlap. Each batch plans its sub-scans and
+// formats them (each query's series once, stamped per shard through
+// serve::RequestSplice) with no lock held, sends and gathers on one link
+// set leased from a pool (one connection per worker, at most
+// kMaxWorkerLinkSets sets; a batch past the cap waits for one), and
+// parses and merges after giving the set back. Control ops run one at a
+// time on a leased set, so every worker sees loads in one order. A load
+// that races a batch shows as an epoch mismatch; the batch retries once,
+// after the load has finished on every worker, against fresh dataset
+// info, and relays a second mismatch as the error it is.
+//
 // Determinism contract, layer by layer:
-//   * every sub-scan is stamped ("shard":K, "shard_epoch":E) via
-//     FormatRequest, and a worker refuses mis-routed or stale work, so an
-//     answer can only ever be assembled from the pinned partition;
+//   * every sub-scan is stamped ("shard":K, "shard_epoch":E), byte for
+//     byte as FormatRequest writes it, and a worker refuses mis-routed or
+//     stale work, so an answer can only ever be assembled from the pinned
+//     partition;
 //   * scan replies gather in shard order through serve::MergeNeighbors,
 //     the merge the engine runs over its chunks, so the split into shards
 //     is invisible;
@@ -27,6 +39,7 @@
 #ifndef WARP_CLUSTER_ROUTER_H_
 #define WARP_CLUSTER_ROUTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,6 +48,10 @@ namespace warp {
 namespace cluster {
 
 class Supervisor;
+
+// Worker link sets the router opens at most, so at most this many router
+// connections reach each worker.
+inline constexpr size_t kMaxWorkerLinkSets = 4;
 
 struct RouterOptions {
   int port = 0;  // 0 = kernel-assigned; port() reports it.

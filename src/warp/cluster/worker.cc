@@ -52,12 +52,8 @@ bool WorkerClient::ReadLines(size_t expect, int timeout_ms,
   if (!conn_.valid()) return false;
   responses->reserve(expect);
   for (size_t i = 0; i < expect; ++i) {
-    if (timeout_ms > 0 && !conn_.WaitReadable(timeout_ms)) {
-      conn_.Close();
-      return false;
-    }
     std::string line;
-    if (!conn_.ReadLine(&line)) {
+    if (!conn_.ReadLine(&line, timeout_ms > 0 ? timeout_ms : -1)) {
       conn_.Close();
       return false;
     }

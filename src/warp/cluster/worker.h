@@ -43,9 +43,10 @@ std::vector<std::string> WorkerCommand(const std::string& worker_binary,
 bool ParseReadyPort(const std::string& line, int* port);
 
 // A single-connection wire client for one worker process. Not
-// thread-safe: the router serializes access per worker. A failed round
-// trip drops the connection; the caller decides whether to reconnect
-// (same generation) or give the worker up for dead (supervisor restart).
+// thread-safe: one thread uses a client at a time (the router leases each
+// of its link sets to one batch or control op). A failed round trip drops
+// the connection; the caller decides whether to reconnect (same
+// generation) or give the worker up for dead (supervisor restart).
 class WorkerClient {
  public:
   // (Re)connects to 127.0.0.1:`port`. Any previous connection is closed.
@@ -59,9 +60,10 @@ class WorkerClient {
   bool Send(const std::string& payload);
 
   // Reads exactly `expect` response lines into *responses, waiting at
-  // most `timeout_ms` for each line to start arriving. Returns false on
-  // EOF, error, or timeout (connection is dropped so the next use starts
-  // clean — a half-read pipeline must never be resumed).
+  // most `timeout_ms` (> 0; otherwise no limit) for each whole line, so a
+  // worker that stalls mid-line costs no more than one that never starts.
+  // Returns false on EOF, error, or timeout (connection is dropped so the
+  // next use starts clean — a half-read pipeline must never be resumed).
   bool ReadLines(size_t expect, int timeout_ms,
                  std::vector<std::string>* responses);
 

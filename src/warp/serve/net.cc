@@ -9,8 +9,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <utility>
+
+#include "warp/common/stopwatch.h"
 
 namespace warp {
 namespace serve {
@@ -27,6 +30,21 @@ constexpr size_t kReadChunk = 64 * 1024;
 void SetNoDelay(int fd) {
   int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+// Waits until `fd` is readable (data or EOF), for as long as `clock`
+// reads under `timeout_ms`.
+bool PollReadable(int fd, const Stopwatch& clock, int timeout_ms) {
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  while (true) {
+    const double left_ms = timeout_ms - clock.ElapsedMillis();
+    if (left_ms <= 0.0) return false;
+    const int ready = poll(&pfd, 1, static_cast<int>(std::ceil(left_ms)));
+    if (ready > 0) return true;
+    if (ready == 0 || errno != EINTR) return false;
+  }
 }
 
 }  // namespace
@@ -48,8 +66,9 @@ TcpConn& TcpConn::operator=(TcpConn&& other) noexcept {
   return *this;
 }
 
-bool TcpConn::ReadLine(std::string* line) {
+bool TcpConn::ReadLine(std::string* line, int timeout_ms) {
   line->clear();
+  const Stopwatch clock;
   while (true) {
     const size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -59,6 +78,7 @@ bool TcpConn::ReadLine(std::string* line) {
       return true;
     }
     if (fd_ < 0 || buffer_.size() > kMaxLineBytes) return false;
+    if (timeout_ms >= 0 && !PollReadable(fd_, clock, timeout_ms)) return false;
 
     char chunk[kReadChunk];
     ssize_t got;
@@ -72,19 +92,6 @@ bool TcpConn::ReadLine(std::string* line) {
 
 bool TcpConn::HasBufferedLine() const {
   return buffer_.find('\n') != std::string::npos;
-}
-
-bool TcpConn::WaitReadable(int timeout_ms) {
-  if (HasBufferedLine()) return true;
-  if (fd_ < 0) return false;
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  int ready;
-  do {
-    ready = poll(&pfd, 1, timeout_ms);
-  } while (ready < 0 && errno == EINTR);
-  return ready > 0;
 }
 
 bool TcpConn::WriteAll(std::string_view data) {

@@ -35,18 +35,17 @@ class TcpConn {
   // Reads one '\n'-terminated line (terminator stripped, '\r' too).
   // Returns false on EOF or error. Lines above the protocol's size cap
   // (64 MiB) fail the connection rather than buffering unboundedly.
-  bool ReadLine(std::string* line);
+  // `timeout_ms` >= 0 bounds the wait for the whole line, not only for
+  // its first byte: a peer that stalls mid-line costs at most that long
+  // (false, with the part read so far still buffered). < 0: no limit.
+  // The cluster's worker clients bound every reply this way, so a wedged
+  // worker cannot hold the router or the supervisor's monitor.
+  bool ReadLine(std::string* line, int timeout_ms = -1);
 
   // True when at least one complete line is already buffered — the
   // server's cue to keep draining before answering, forming a pipeline
   // batch.
   bool HasBufferedLine() const;
-
-  // Waits up to `timeout_ms` for the connection to become readable (data
-  // or EOF). Returns true immediately when a complete line is already
-  // buffered. The cluster supervisor's liveness pings use this so a hung
-  // worker cannot block the monitor forever.
-  bool WaitReadable(int timeout_ms);
 
   // Writes all of `data`; returns false on error.
   bool WriteAll(std::string_view data);

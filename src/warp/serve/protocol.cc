@@ -368,43 +368,63 @@ bool ReadDatasetInfo(const JsonValue& reply, DatasetInfo* out) {
 }
 
 std::string FormatRequest(const ServeRequest& request) {
-  obs::JsonWriter writer;
-  writer.BeginObject()
+  std::string line;
+  RequestSplice(request).AppendStamped(request.shard_filter,
+                                       request.require_epoch, &line);
+  return line;
+}
+
+RequestSplice::RequestSplice(const ServeRequest& request) {
+  obs::JsonWriter head;
+  head.BeginObject()
       .Key("id").Int(request.id)
       .Key("op").String(QueryOpName(request.op))
       .Key("dataset").String(request.dataset)
       .Key("measure").String(request.measure);
   const MeasureParams& params = request.params;
-  writer.Key("window").Double(params.window_fraction);
+  head.Key("window").Double(params.window_fraction);
   if (params.band_cells >= 0) {
-    writer.Key("band").Uint(static_cast<uint64_t>(params.band_cells));
+    head.Key("band").Uint(static_cast<uint64_t>(params.band_cells));
   }
-  writer.Key("cost").String(
+  head.Key("cost").String(
       params.cost == CostKind::kSquared ? "squared" : "absolute");
-  writer.Key("g").Double(params.wdtw_g);
-  writer.Key("full_band").Bool(params.wdtw_full_band);
-  writer.Key("omega").Double(params.adtw_omega);
-  writer.Key("ratio").Double(params.adtw_ratio);
-  writer.Key("epsilon").Double(params.lcss_epsilon);
-  writer.Key("gap").Double(params.erp_gap);
-  writer.Key("c").Double(params.msm_cost);
-  writer.Key("radius").Uint(params.fastdtw_radius);
-  writer.Key("k").Uint(request.k);
-  writer.Key("index").Uint(request.index);
-  writer.Key("threshold").Double(request.threshold);
-  writer.Key("deadline_ms").Double(request.deadline_ms);
-  writer.Key("znorm").Bool(request.znormalize);
-  writer.Key("trace").Bool(request.trace);
-  if (request.shard_filter >= 0) {
-    writer.Key("shard").Uint(static_cast<uint64_t>(request.shard_filter));
+  head.Key("g").Double(params.wdtw_g);
+  head.Key("full_band").Bool(params.wdtw_full_band);
+  head.Key("omega").Double(params.adtw_omega);
+  head.Key("ratio").Double(params.adtw_ratio);
+  head.Key("epsilon").Double(params.lcss_epsilon);
+  head.Key("gap").Double(params.erp_gap);
+  head.Key("c").Double(params.msm_cost);
+  head.Key("radius").Uint(params.fastdtw_radius);
+  head.Key("k").Uint(request.k);
+  head.Key("index").Uint(request.index);
+  head.Key("threshold").Double(request.threshold);
+  head.Key("deadline_ms").Double(request.deadline_ms);
+  head.Key("znorm").Bool(request.znormalize);
+  head.Key("trace").Bool(request.trace);
+  head_ = head.EndObject().TakeOutput();
+  head_.pop_back();  // Left open for the stamp and the query.
+
+  obs::JsonWriter query;
+  query.BeginArray();
+  for (const double value : request.query) query.Double(value);
+  tail_ = ",\"query\":";
+  tail_ += query.EndArray().TakeOutput();
+  tail_ += '}';
+}
+
+void RequestSplice::AppendStamped(long shard, uint64_t epoch,
+                                  std::string* out) const {
+  *out += head_;
+  if (shard >= 0) {
+    *out += ",\"shard\":";
+    *out += std::to_string(shard);
   }
-  if (request.require_epoch != 0) {
-    writer.Key("shard_epoch").Uint(request.require_epoch);
+  if (epoch != 0) {
+    *out += ",\"shard_epoch\":";
+    *out += std::to_string(epoch);
   }
-  writer.Key("query").BeginArray();
-  for (const double value : request.query) writer.Double(value);
-  writer.EndArray().EndObject();
-  return writer.TakeOutput();
+  *out += tail_;
 }
 
 bool ParseResponseLine(const std::string& line, ServeResponse* out,

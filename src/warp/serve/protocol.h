@@ -94,9 +94,27 @@ bool ReadDatasetInfo(const JsonValue& reply, DatasetInfo* out);
 // Serializes a query request as one wire line, no trailing newline.
 // Every parameter ParseRequestLine reads is emitted explicitly, so
 // ParseRequestLine(FormatRequest(r)) reconstructs `r` field-for-field
-// (doubles bit-for-bit via FormatDouble <-> from_chars). The cluster router
-// uses this to re-serialize client queries as shard-stamped sub-scans.
+// (doubles bit-for-bit via FormatDouble <-> from_chars).
 std::string FormatRequest(const ServeRequest& request);
+
+// One query's request line, formatted once and stamped per shard: the
+// cluster router sends every shard the same line but for its ("shard",
+// "shard_epoch") stamp, which sits just before the `query` array.
+// AppendStamped(s, e, out) appends FormatRequest of the request with
+// shard_filter s and require_epoch e, byte for byte; FormatRequest is
+// built the same way.
+class RequestSplice {
+ public:
+  explicit RequestSplice(const ServeRequest& request);
+
+  // `shard` < 0 writes no "shard", `epoch` 0 no "shard_epoch"; no
+  // trailing newline.
+  void AppendStamped(long shard, uint64_t epoch, std::string* out) const;
+
+ private:
+  std::string head_;  // '{' through the "trace" member.
+  std::string tail_;  // ',"query":[...]}'.
+};
 
 // Parses a response line (the inverse of FormatResponse, minus the trace
 // echo) into a typed ServeResponse. The cluster router uses this to

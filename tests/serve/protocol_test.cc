@@ -399,6 +399,49 @@ TEST(ProtocolTest, FormatsErrorsWithoutResultFields) {
   EXPECT_EQ(root.StringOr("error", ""), "nope");
 }
 
+// The cluster router formats each query once and splices each shard's
+// stamp in. Every sub-request must still be FormatRequest's line byte for
+// byte, whatever stamp the client's own request carried.
+TEST(ProtocolTest, SplicedSubRequestsMatchFormatRequest) {
+  ServeRequest request;
+  request.id = 42;
+  request.op = QueryOp::kKnn;
+  request.dataset = "d";
+  request.k = 3;
+  request.query = {0.1, -2.5, 3.0};
+  request.shard_filter = 9;  // A client's stamp, which the router replaces.
+  request.require_epoch = 99;
+  for (const long band : {-1L, 5L}) {
+    request.params.band_cells = band;
+    const RequestSplice splice(request);
+    for (long shard = 0; shard < 4; ++shard) {
+      for (const uint64_t epoch :
+           {uint64_t{0}, uint64_t{7}, std::numeric_limits<uint64_t>::max()}) {
+        ServeRequest sub = request;
+        sub.shard_filter = shard;
+        sub.require_epoch = epoch;
+        std::string payload = "earlier line\n";
+        splice.AppendStamped(shard, epoch, &payload);
+        EXPECT_EQ(payload, "earlier line\n" + FormatRequest(sub))
+            << "band " << band << " shard " << shard << " epoch " << epoch;
+      }
+    }
+  }
+
+  // FormatRequest's own bytes, as they were before it was built from the
+  // splice: the stamp sits between "trace" and "query".
+  ServeRequest sub = request;
+  sub.shard_filter = 1;
+  sub.require_epoch = 7;
+  EXPECT_EQ(FormatRequest(sub),
+            R"({"id":42,"op":"knn","dataset":"d","measure":"cdtw",)"
+            R"("window":0.1,"band":5,"cost":"squared","g":0.05,)"
+            R"("full_band":false,"omega":-1,"ratio":0.1,"epsilon":0.1,)"
+            R"("gap":0,"c":1,"radius":10,"k":3,"index":0,"threshold":0,)"
+            R"("deadline_ms":0,"znorm":true,"trace":false,"shard":1,)"
+            R"("shard_epoch":7,"query":[0.1,-2.5,3]})");
+}
+
 TEST(ProtocolTest, QueryOpNamesRoundTrip) {
   for (QueryOp op : {QueryOp::k1Nn, QueryOp::kKnn, QueryOp::kRange,
                      QueryOp::kDist, QueryOp::kSubsequence}) {

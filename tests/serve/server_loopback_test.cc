@@ -7,6 +7,7 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <future>
 #include <iterator>
 #include <string>
 #include <system_error>
@@ -17,6 +18,7 @@
 
 #include "warp/cluster/proc.h"
 #include "warp/cluster/worker.h"
+#include "warp/common/stopwatch.h"
 #include "warp/core/dtw.h"
 #include "warp/core/measure.h"
 #include "warp/gen/random_walk.h"
@@ -312,7 +314,7 @@ TEST(ServerLoopbackTest, DescriptorExhaustionDoesNotEndTheAcceptLoop) {
     TcpConn conn = ConnectLoopbackTimeout(port, 1000, &error);
     answered = conn.valid() &&
                conn.WriteAll(R"({"id": 1, "op": "ping"})" "\n") &&
-               conn.WaitReadable(2000) && conn.ReadLine(&line) &&
+               conn.ReadLine(&line, 2000) &&
                line.find(R"("ok":true)") != std::string::npos;
     if (!answered) cluster::SleepMillis(100);
   }
@@ -345,6 +347,35 @@ TEST(ServerLoopbackTest, ReadyLineNamesAWholePort) {
         "ready port=65536", "ready port=", "ready 80"}) {
     EXPECT_FALSE(cluster::ParseReadyPort(line, &port)) << line;
   }
+}
+
+// A worker that writes half a reply line and stalls costs its reader the
+// reply budget, not as long as the worker keeps the connection open: the
+// budget bounds the whole line, not only the wait for its first byte.
+TEST(ServerLoopbackTest, HalfALineTimesOutWithinTheBudget) {
+  TcpListener listener;
+  std::string error;
+  ASSERT_TRUE(listener.Listen(0, &error)) << error;
+  std::promise<void> reader_done;
+  std::thread peer([&listener, done = reader_done.get_future()] {
+    bool timed_out = false;
+    TcpConn conn = listener.AcceptWithTimeout(5000, &timed_out);
+    if (!conn.valid()) return;
+    conn.WriteAll(R"({"id":1,"ok":tr)");
+    done.wait_for(std::chrono::seconds(5));  // Stall with the line open.
+  });
+
+  cluster::WorkerClient client;
+  EXPECT_TRUE(client.Connect(listener.port(), 1000, &error)) << error;
+  const Stopwatch watch;
+  std::vector<std::string> replies;
+  EXPECT_FALSE(client.ReadLines(1, 200, &replies));
+  const double waited_ms = watch.ElapsedMillis();
+  EXPECT_GE(waited_ms, 190.0);
+  EXPECT_LT(waited_ms, 1000.0);
+  EXPECT_FALSE(client.connected());  // Dropped: a half line is not resumed.
+  reader_done.set_value();
+  peer.join();
 }
 
 TEST(ServerLoopbackTest, ShutdownOpStopsTheServeLoop) {
